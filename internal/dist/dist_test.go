@@ -6,7 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -346,5 +349,51 @@ func TestRendezvousStability(t *testing.T) {
 		if was == "c" && is == "c" {
 			t.Fatalf("cluster %d still on removed worker c", k)
 		}
+	}
+}
+
+// wideBuilder is testBuilder's world widened to eight clusters of ~100
+// sensors, so a full-field shard response (~15 KB) outgrows the server's
+// write buffer and goes out chunked.
+func wideBuilder(spec json.RawMessage) (*topo.Field, field.Config, error) {
+	_, cfg, err := testBuilder(spec)
+	return topo.BuildField(19, 600, 8, 800), cfg, err
+}
+
+// TestHTTPTransportReusesConnection: sequential calls to one worker ride
+// a single keep-alive connection — every response body is consumed to
+// EOF, including what the decoder leaves unread after the JSON value.
+func TestHTTPTransportReusesConnection(t *testing.T) {
+	var conns atomic.Int64
+	srv := httptest.NewUnstartedServer(NewWorkerHost(wideBuilder).Handler())
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	tr := &HTTPTransport{Client: &http.Client{Transport: &http.Transport{}}}
+	defer tr.Client.CloseIdleConnections()
+
+	ctx := context.Background()
+	if err := tr.Open(ctx, srv.URL, OpenRequest{Session: "reuse", Spec: json.RawMessage(`{}`)}); err != nil {
+		t.Fatal(err)
+	}
+	const epochs = 6
+	for e := 0; e < epochs; e++ {
+		if err := tr.Ping(ctx, srv.URL); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := tr.RunShard(ctx, srv.URL, EpochRequest{Session: "reuse", Epoch: e, Clusters: []int{0, 1, 2, 3, 4, 5, 6, 7}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Results) != 8 {
+			t.Fatalf("epoch %d: %d results, want 8", e, len(resp.Results))
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("%d sequential calls opened %d connections, want 1", 2*epochs+1, n)
 	}
 }

@@ -143,7 +143,13 @@ func (t *HTTPTransport) do(ctx context.Context, method, url string, in, out any)
 	if err != nil {
 		return fmt.Errorf("dist: %s %s: %w", method, url, err)
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// Drain what decoding left unread (the encoder's trailing newline,
+		// or a whole body nobody decodes), so the keep-alive connection
+		// goes back to the pool instead of being torn down.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("dist: %s %s: %s: %s", method, url, resp.Status, strings.TrimSpace(string(msg)))

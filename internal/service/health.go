@@ -16,7 +16,7 @@ type Health struct {
 	QueueLimit int `json:"queue_limit"`
 
 	Workers int `json:"workers"`
-	Running int `json:"running"`
+	Running int `json:"running"` // jobs in state running, from the job table
 
 	// Jobs counts the job table by state.
 	Jobs map[string]int `json:"jobs"`
@@ -33,13 +33,10 @@ func (m *Manager) Health() Health {
 		QueueDepth: m.sched.depth(),
 		QueueLimit: m.sched.limit,
 		Workers:    m.poolSize,
-		Running:    int(m.running.Load()),
-		Jobs:       make(map[string]int),
+		Jobs:       m.store.countAll(),
 		SpoolDir:   m.spool.Dir(),
 	}
-	for _, j := range m.store.list() {
-		h.Jobs[string(j.State)]++
-	}
+	h.Running = h.Jobs[string(StateRunning)]
 	if ids, err := m.spool.DeadLetters(); err == nil {
 		h.DeadLetters = len(ids)
 	}

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // State is a job's lifecycle position:
@@ -108,42 +110,59 @@ func newJobID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// store is the in-memory job table. All Job structs inside are owned by
-// the store; accessors hand out copies so readers never race the runner's
-// mutations. The spool, not the store, is the durable source of truth —
-// the store is rebuilt from it on startup.
+// store is the in-memory job table. Accessors hand out copies so readers
+// never race a transition's mutation, and the per-state counts are kept
+// in step with every mutation, so the running gauge and Health read the
+// table itself rather than a counter maintained beside it. The spool,
+// not the store, is the durable source of truth — the store is rebuilt
+// from it on startup.
 type store struct {
-	mu   sync.Mutex
-	jobs map[string]*Job
+	mu     sync.Mutex
+	jobs   map[string]*storeEntry
+	counts map[State]int
+	obs    obs.Observer // receives the running gauge; nil disables
 }
 
-func newStore() *store {
-	return &store{jobs: make(map[string]*Job)}
+// storeEntry is one job plus the lock that orders its transitions: held
+// across a transition's mutate and its side effects, so one job's
+// manifest writes land in the order of its state changes while two jobs
+// never wait on each other's fsync.
+type storeEntry struct {
+	order sync.Mutex
+	job   Job
 }
 
-// put inserts or replaces a job.
+func newStore(o obs.Observer) *store {
+	return &store{jobs: make(map[string]*storeEntry), counts: make(map[State]int), obs: o}
+}
+
+// put inserts a new job (submission and recovery).
 func (st *store) put(j *Job) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.jobs[j.ID] = j
+	st.jobs[j.ID] = &storeEntry{job: *j}
+	st.recount("", j.State)
 }
 
 // delete removes a job (submission rollback only).
 func (st *store) delete(id string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	delete(st.jobs, id)
+	if e, ok := st.jobs[id]; ok {
+		st.recount(e.job.State, "")
+		delete(st.jobs, id)
+	}
 }
 
 // get returns a copy of the job.
 func (st *store) get(id string) (Job, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	j, ok := st.jobs[id]
+	e, ok := st.jobs[id]
 	if !ok {
 		return Job{}, false
 	}
-	return *j, true
+	return e.job, true
 }
 
 // list returns copies of every job, oldest first (ties broken by ID so
@@ -151,8 +170,8 @@ func (st *store) get(id string) (Job, bool) {
 func (st *store) list() []Job {
 	st.mu.Lock()
 	out := make([]Job, 0, len(st.jobs))
-	for _, j := range st.jobs {
-		out = append(out, *j)
+	for _, e := range st.jobs {
+		out = append(out, e.job)
 	}
 	st.mu.Unlock()
 	sort.Slice(out, func(i, k int) bool {
@@ -164,15 +183,64 @@ func (st *store) list() []Job {
 	return out
 }
 
-// update applies fn to the job under the store lock and returns a copy of
-// the result. fn sees and may mutate the store's canonical struct.
-func (st *store) update(id string, fn func(*Job)) (Job, bool) {
+// countAll returns the job count per state.
+func (st *store) countAll() map[string]int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	j, ok := st.jobs[id]
-	if !ok {
-		return Job{}, false
+	out := make(map[string]int, len(st.counts))
+	for s, n := range st.counts {
+		if n > 0 {
+			out[string(s)] = n
+		}
 	}
-	fn(j)
-	return *j, true
+	return out
+}
+
+// lock takes the job's transition lock; the caller runs unlock when its
+// transition's side effects are complete.
+func (st *store) lock(id string) (unlock func(), ok bool) {
+	st.mu.Lock()
+	e, ok := st.jobs[id]
+	st.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	e.order.Lock()
+	return e.order.Unlock, true
+}
+
+// update applies fn to the job under the store lock and returns a copy of
+// the result. fn sees and may mutate the canonical struct; a non-nil
+// return refuses the change, and fn must then leave the job untouched.
+func (st *store) update(id string, fn func(*Job) error) (Job, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e, ok := st.jobs[id]
+	if !ok {
+		return Job{}, ErrNotFound
+	}
+	before := e.job.State
+	if err := fn(&e.job); err != nil {
+		return Job{}, err
+	}
+	st.recount(before, e.job.State)
+	return e.job, nil
+}
+
+// recount moves one job from state from to state to ("" for none) and
+// publishes the running gauge. It runs under st.mu, so the gauge moves
+// with the state it describes.
+func (st *store) recount(from, to State) {
+	if from == to {
+		return
+	}
+	if from != "" {
+		st.counts[from]--
+	}
+	if to != "" {
+		st.counts[to]++
+	}
+	if st.obs != nil {
+		st.obs.Set(MetricJobsRunning, float64(st.counts[StateRunning]))
+	}
 }

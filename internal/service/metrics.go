@@ -9,11 +9,13 @@ const (
 	// MetricJobsSubmitted counts accepted job submissions.
 	MetricJobsSubmitted = "service_jobs_submitted_total"
 	// MetricJobsFinished counts terminal transitions, labeled
-	// state="done"|"failed"|"cancelled".
+	// state="done"|"failed"|"cancelled"|"dead".
 	MetricJobsFinished = "service_jobs_finished_total"
-	// MetricJobsRunning gauges jobs currently executing.
+	// MetricJobsRunning gauges jobs in state running, derived from the
+	// job table at every state change.
 	MetricJobsRunning = "service_jobs_running"
-	// MetricQueueDepth gauges jobs waiting in the FIFO queue.
+	// MetricQueueDepth gauges jobs waiting in the priority scheduler,
+	// due and parked alike.
 	MetricQueueDepth = "service_queue_depth"
 	// MetricJobSeconds is a histogram of per-attempt wall-clock seconds.
 	MetricJobSeconds = "service_job_seconds"
@@ -69,8 +71,8 @@ func RegisterMetrics(reg *obs.Registry) {
 	reg.Counter(seriesJobsFailed, "terminal job transitions")
 	reg.Counter(seriesJobsCancelled, "terminal job transitions")
 	reg.Counter(seriesJobsDead, "terminal job transitions")
-	reg.Gauge(MetricJobsRunning, "jobs currently executing")
-	reg.Gauge(MetricQueueDepth, "jobs waiting in the FIFO queue")
+	reg.Gauge(MetricJobsRunning, "jobs in state running")
+	reg.Gauge(MetricQueueDepth, "jobs waiting in the priority scheduler, due or parked")
 	reg.Histogram(MetricJobSeconds, "per-attempt job wall-clock in seconds", nil)
 	reg.Counter(MetricCheckpoints, "epoch-boundary checkpoints written")
 	reg.Counter(MetricResumes, "field jobs resumed from a spooled checkpoint")

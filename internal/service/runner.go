@@ -9,7 +9,6 @@ import (
 	"log"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dist"
@@ -83,7 +82,6 @@ type Manager struct {
 	obs      obs.Observer
 	log      *log.Logger
 
-	running atomic.Int64
 	created time.Time
 
 	baseCtx    context.Context
@@ -94,7 +92,7 @@ type Manager struct {
 	stopped  bool
 	started  bool
 	poolSize int
-	cancels  map[string]context.CancelFunc
+	cancels  map[string]context.CancelFunc // interrupt handles of in-flight attempts
 	feeds    map[string]*sse.Feed
 
 	// requeue holds the IDs recovery found interrupted, pushed into the
@@ -125,7 +123,7 @@ func New(cfg Config) (*Manager, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		spool:      sp,
-		store:      newStore(),
+		store:      newStore(cfg.Obs),
 		sched:      newJobScheduler(cfg.queueDepth()),
 		breakers:   newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Obs),
 		obs:        cfg.Obs,
@@ -138,6 +136,7 @@ func New(cfg Config) (*Manager, error) {
 		poolSize:   cfg.workers(),
 		created:    time.Now().UTC(),
 	}
+	m.sched.obs = cfg.Obs
 	for _, j := range jobs {
 		m.store.put(j)
 	}
@@ -169,7 +168,6 @@ func (m *Manager) Start() {
 			m.log.Printf("job %s: re-queue: %v", id, err)
 		}
 	}
-	m.gaugeQueueDepth()
 	for w := 0; w < n; w++ {
 		m.wg.Add(1)
 		go m.worker()
@@ -223,49 +221,40 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 
 	// Durable before runnable: the manifest hits disk before the ID can
 	// reach a worker, so a crash between the two re-queues the job
-	// instead of losing it.
+	// instead of losing it. The job's transition lock is held until the
+	// "queued" event is out, so a worker's first transition follows it.
 	m.store.put(j)
+	unlock, _ := m.store.lock(j.ID)
+	defer unlock()
 	if err := m.spool.SaveManifest(j); err != nil {
 		m.store.delete(j.ID)
 		return Job{}, err
 	}
-	// Snapshot before the push: once a worker can see the job, the
-	// store's canonical struct may be mutated concurrently.
-	snap := *j
 	// The stopped check and the scheduler push share m.mu with Stop, so
 	// a job can never be accepted after Stop has begun: either this push
 	// happens before Stop flips the flag (and the durable manifest
 	// re-queues the job on the next start), or it observes the flag and
 	// rolls back.
 	m.mu.Lock()
-	if m.stopped {
-		m.mu.Unlock()
-		m.rollback(j.ID)
-		return Job{}, ErrStopped
+	err := ErrStopped
+	if !m.stopped {
+		err = m.sched.push(m.pushReq(j), false)
 	}
-	err := m.sched.push(m.pushReq(j), false)
 	m.mu.Unlock()
 	if err != nil {
-		// Backpressure (or a close that raced the flag): roll the job
-		// back entirely.
-		m.rollback(j.ID)
+		// Stopped or backpressure: roll the job back entirely.
+		m.store.delete(j.ID)
+		if err := os.RemoveAll(m.spool.jobPath(j.ID)); err != nil {
+			m.log.Printf("job %s: rollback: %v", j.ID, err)
+		}
 		return Job{}, err
 	}
 	if m.obs != nil {
 		m.obs.Add(MetricJobsSubmitted, 1)
 	}
-	m.gaugeQueueDepth()
-	m.feed(snap.ID).Publish("state", stateEvent(&snap))
-	m.log.Printf("job %s: queued (%s, class %s)", snap.ID, spec.Type, snap.Class)
-	return snap, nil
-}
-
-// rollback erases a job that was durably recorded but not accepted.
-func (m *Manager) rollback(id string) {
-	m.store.delete(id)
-	if err := os.RemoveAll(m.spool.jobPath(id)); err != nil {
-		m.log.Printf("job %s: rollback: %v", id, err)
-	}
+	m.feed(j.ID).Publish("state", stateEvent(j))
+	m.log.Printf("job %s: queued (%s, class %s)", j.ID, spec.Type, j.Class)
+	return *j, nil
 }
 
 // Job returns a copy of the job, with its result attached when one
@@ -288,57 +277,30 @@ func (m *Manager) Job(id string) (Job, error) {
 // Jobs lists every known job, oldest first, without results.
 func (m *Manager) Jobs() []Job { return m.store.list() }
 
-// Cancel moves a queued or running job to cancelled. Queued jobs —
-// including backoff- and breaker-parked ones — leave the scheduler
-// immediately and never start; running jobs stop at their next epoch
-// boundary. A recurring job's chain ends with it.
+// Cancel moves a queued or running job to cancelled, which finishes it
+// at once. Queued jobs — including backoff- and breaker-parked ones —
+// leave the scheduler and never start; a running job's attempt is
+// interrupted at its next epoch boundary and whatever it returns is
+// discarded. A recurring job's chain ends with it.
 func (m *Manager) Cancel(id string) error {
-	var wasTerminal bool
-	j, ok := m.store.update(id, func(x *Job) {
+	var inFlight bool
+	_, err := m.transition(id, func(x *Job) error {
 		if x.State.Terminal() {
-			wasTerminal = true
-			return
+			return ErrJobDone
 		}
-		x.State = StateCancelled
-		x.RetryState = ""
-		x.NextRun = nil
+		inFlight = x.State == StateRunning
+		x.State, x.RetryState, x.NextRun = StateCancelled, "", nil
+		return nil
 	})
-	if !ok {
-		return ErrNotFound
-	}
-	if wasTerminal {
-		return ErrJobDone
-	}
-	m.mu.Lock()
-	cancel := m.cancels[id]
-	m.mu.Unlock()
-	if cancel != nil {
-		// Running: persist the cancelled state, then interrupt at the
-		// next boundary; the runner writes the finish.
-		if err := m.spool.SaveManifest(&j); err != nil {
-			return err
-		}
-		cancel()
-	} else {
-		// Queued, backoff-parked or breaker-parked: there is no attempt
-		// in flight and possibly no worker due to touch the job for a
-		// long time, so finish it here — drop the scheduler entry (frees
-		// its queue slot now, not at its NextRun), stamp the finish time,
-		// persist, and close the feed.
-		m.sched.remove(id)
-		now := time.Now().UTC()
-		j, _ = m.store.update(id, func(x *Job) { x.Finished = &now })
-		if err := m.spool.SaveManifest(&j); err != nil {
-			return err
-		}
-		m.gaugeQueueDepth()
-		m.finishFeed(id, &j)
-		if m.obs != nil {
-			m.obs.Add(finishedSeries(StateCancelled), 1)
+	if inFlight {
+		m.mu.Lock()
+		interrupt := m.cancels[id]
+		m.mu.Unlock()
+		if interrupt != nil {
+			interrupt()
 		}
 	}
-	m.log.Printf("job %s: cancel requested", id)
-	return nil
+	return err
 }
 
 // Retry resurrects a dead-lettered job: its failure streak resets and it
@@ -346,48 +308,14 @@ func (m *Manager) Cancel(id string) error {
 // left untouched — if it is still open, the resurrected job parks until
 // the cooldown, which is exactly the protection the breaker exists for.
 func (m *Manager) Retry(id string) (Job, error) {
-	var notDead bool
-	j, ok := m.store.update(id, func(x *Job) {
+	return m.transition(id, func(x *Job) error {
 		if x.State != StateDead {
-			notDead = true
-			return
+			return ErrNotDead
 		}
-		x.State = StateQueued
-		x.RetryState = ""
-		x.Failures = 0
-		x.Error = ""
-		x.Finished = nil
-		x.NextRun = nil
+		x.State, x.RetryState, x.Failures, x.Error = StateQueued, "", 0, ""
+		x.Finished, x.NextRun = nil, nil
+		return nil
 	})
-	if !ok {
-		return Job{}, ErrNotFound
-	}
-	if notDead {
-		return Job{}, ErrNotDead
-	}
-	if err := m.spool.SaveManifest(&j); err != nil {
-		return Job{}, err
-	}
-	if err := m.spool.ClearDead(id); err != nil {
-		m.log.Printf("job %s: clear dead-letter: %v", id, err)
-	}
-	// Forced: resurrection is an explicit operator action, not client
-	// traffic to backpressure.
-	m.mu.Lock()
-	stopped := m.stopped
-	var err error
-	if !stopped {
-		err = m.sched.push(m.pushReq(&j), true)
-	}
-	m.mu.Unlock()
-	if stopped || err != nil {
-		return Job{}, ErrStopped
-	}
-	m.gaugeQueueDepth()
-	m.feed(id).Reopen()
-	m.feed(id).Publish("state", stateEvent(&j))
-	m.log.Printf("job %s: resurrected from dead-letter", id)
-	return j, nil
 }
 
 // Events returns the job's SSE feed. For a job already terminal (e.g.
@@ -443,13 +371,6 @@ func (m *Manager) feed(id string) *sse.Feed {
 	return f
 }
 
-// finishFeed publishes the job's terminal state and closes the feed.
-func (m *Manager) finishFeed(id string, j *Job) {
-	f := m.feed(id)
-	f.Publish("state", stateEvent(j))
-	f.Close()
-}
-
 // stateEvent is the payload of "state" SSE events.
 func stateEvent(j *Job) map[string]any {
 	ev := map[string]any{"id": j.ID, "state": j.State, "epoch": j.Epoch}
@@ -474,9 +395,109 @@ func stateEvent(j *Job) map[string]any {
 	return ev
 }
 
-func (m *Manager) gaugeQueueDepth() {
+// errRaced refuses a step whose precondition another transition already
+// invalidated: a cancel won, or the attempt it belongs to already ended.
+var errRaced = errors.New("service: job changed state concurrently")
+
+// errShutdown refuses the end-of-attempt step of a job interrupted by
+// shutdown: its manifest stays "running" for recovery.
+var errShutdown = errors.New("service: interrupted by shutdown")
+
+// transition is the one owner of job state changes. step mutates the job
+// under the store lock, or returns an error to refuse — then nothing
+// else happens and that error is returned. Otherwise transition applies,
+// in one place, everything the new state implies: it stamps Finished on
+// entry to a terminal state, persists the manifest, keeps the dead-letter
+// index, re-pushes a queued job with its NextRun (or drops a terminal one
+// from the scheduler), publishes the state event (closing the feed on
+// terminal states) and counts the transition. Epoch progress (running →
+// running) only persists. The gauges follow on their own: the store and
+// the scheduler publish them under their locks. The job's transition lock
+// is held throughout, so its side effects land in the order of its state
+// changes. A failed manifest write or re-push is logged and returned
+// after the remaining effects are applied, so the in-memory state and
+// everything derived from it still agree.
+func (m *Manager) transition(id string, step func(*Job) error) (Job, error) {
+	unlock, ok := m.store.lock(id)
+	if !ok {
+		return Job{}, ErrNotFound
+	}
+	defer unlock()
+	var from Job
+	j, err := m.store.update(id, func(x *Job) error {
+		from = *x
+		if err := step(x); err != nil {
+			return err
+		}
+		if x.State.Terminal() && !from.State.Terminal() {
+			now := time.Now().UTC()
+			x.Finished = &now
+		}
+		return nil
+	})
+	if err != nil {
+		return j, err
+	}
+	err = m.spool.SaveManifest(&j)
+	switch {
+	case j.State == StateDead:
+		if derr := m.spool.MarkDead(&j); derr != nil {
+			m.log.Printf("job %s: dead-letter index: %v", id, derr)
+		}
+	case from.State == StateDead:
+		if derr := m.spool.ClearDead(id); derr != nil {
+			m.log.Printf("job %s: clear dead-letter: %v", id, derr)
+		}
+	}
+	switch {
+	case j.State == StateQueued:
+		// Forced: the job already held a queue slot (it was popped for an
+		// attempt, or is an operator resurrection), so backpressure must
+		// not drop it.
+		err = errors.Join(err, m.sched.push(m.pushReq(&j), true))
+	case j.State.Terminal():
+		m.sched.remove(id)
+	}
+	if err != nil {
+		m.log.Printf("job %s: %s: %v", id, j.State, err)
+	}
+	if from.State == StateRunning && j.State == StateRunning {
+		return j, err
+	}
+
+	ev := stateEvent(&j)
+	f := m.feed(id)
+	if from.State == StateDead {
+		f.Reopen()
+	}
+	f.Publish("state", ev)
+	finished := j.State.Terminal() && !from.State.Terminal()
+	if finished {
+		f.Close()
+	}
 	if m.obs != nil {
-		m.obs.Set(MetricQueueDepth, float64(m.sched.depth()))
+		switch {
+		case finished:
+			m.obs.Add(finishedSeries(j.State), 1)
+			if j.State == StateDead {
+				m.obs.Add(MetricDeadLetter, 1)
+			}
+		case from.State == StateRunning && j.RetryState == RetryBackoff:
+			m.obs.Add(MetricRetries, 1)
+		}
+	}
+	m.log.Printf("job %s: %s → %s (attempt %d) %v", id, from.State, j.State, j.Attempts, ev)
+	return j, err
+}
+
+// progress is the step recording a checkpointed epoch on a running job.
+func progress(epoch int) func(*Job) error {
+	return func(x *Job) error {
+		if x.State != StateRunning {
+			return errRaced
+		}
+		x.Epoch = epoch
+		return nil
 	}
 }
 
@@ -494,7 +515,6 @@ func (m *Manager) worker() {
 				m.obs.Observe(MetricSchedDelay, d)
 			}
 		}
-		m.gaugeQueueDepth()
 		m.runJob(id)
 	}
 }
@@ -510,11 +530,22 @@ func (m *Manager) runJob(id string) {
 	// cooldown instead of running it. The park consumes no attempt and
 	// no failure — the job just waits out the storm.
 	if wait := m.breakers.gate(j.Fingerprint); wait > 0 {
-		m.park(id, wait, RetryParked)
+		nr := time.Now().UTC().Add(wait)
+		// A refusal means a cancel won; transition logs any other error.
+		_, _ = m.transition(id, func(x *Job) error {
+			if x.State != StateQueued {
+				return errRaced
+			}
+			x.RetryState, x.NextRun = RetryParked, &nr
+			return nil
+		})
 		return
 	}
 
+	// The interrupt handle is registered before the job can be seen
+	// running, so a Cancel that observes "running" always finds it.
 	ctx, cancel := context.WithCancel(m.baseCtx)
+	defer cancel()
 	m.mu.Lock()
 	m.cancels[id] = cancel
 	m.mu.Unlock()
@@ -522,316 +553,116 @@ func (m *Manager) runJob(id string) {
 		m.mu.Lock()
 		delete(m.cancels, id)
 		m.mu.Unlock()
-		cancel()
 	}()
 
-	// Gauge up before the state flips so anyone who observes a job in
-	// StateRunning also observes a non-zero running gauge.
-	if m.obs != nil {
-		m.obs.Set(MetricJobsRunning, float64(m.running.Add(1)))
-		defer func() { m.obs.Set(MetricJobsRunning, float64(m.running.Add(-1))) }()
-	}
 	now := time.Now().UTC()
-	var started bool
-	j, _ = m.store.update(id, func(x *Job) {
+	j, err := m.transition(id, func(x *Job) error {
 		if x.State != StateQueued { // cancel won the race since the get above
-			return
+			return errRaced
 		}
-		started = true
-		x.State = StateRunning
-		x.Started = &now
+		x.State, x.Started, x.RetryState, x.NextRun = StateRunning, &now, "", nil
 		x.Attempts++
-		x.RetryState = ""
-		x.NextRun = nil
+		return nil
 	})
-	if !started {
+	if errors.Is(err, errRaced) || errors.Is(err, ErrNotFound) {
 		return
 	}
-	if err := m.spool.SaveManifest(&j); err != nil {
-		m.handleFailure(id, fmt.Errorf("persist manifest: %w", err))
-		return
-	}
-	m.feed(id).Publish("state", stateEvent(&j))
-	m.log.Printf("job %s: running (attempt %d)", id, j.Attempts)
-	start := time.Now()
-
 	var result []byte
-	var err error
+	if err != nil {
+		err = fmt.Errorf("persist manifest: %w", err)
+	} else {
+		start := time.Now()
+		result, err = m.attempt(ctx, id, &j)
+		if m.obs != nil {
+			m.obs.Observe(MetricJobSeconds, time.Since(start).Seconds())
+		}
+	}
+	m.endAttempt(&j, result, err)
+}
+
+// attempt runs the job's workload once.
+func (m *Manager) attempt(ctx context.Context, id string, j *Job) ([]byte, error) {
 	switch j.Spec.Type {
 	case TypeField:
-		result, err = m.runField(ctx, id, &j)
+		return m.runField(ctx, id, j)
 	case TypeSweep:
-		result, err = j.Spec.Sweep.run(exp.Options{Workers: j.Spec.Workers, Ctx: ctx, Obs: m.obs})
+		return j.Spec.Sweep.run(exp.Options{Workers: j.Spec.Workers, Ctx: ctx, Obs: m.obs})
 	case TypeProbe:
-		result, err = j.Spec.Probe.run(ctx, j.Attempts)
+		return j.Spec.Probe.run(ctx, j.Attempts)
 	case TypeDist:
-		result, err = m.runDist(ctx, id, &j)
-	default:
-		err = fmt.Errorf("service: unknown job type %q", j.Spec.Type)
+		return m.runDist(ctx, id, j)
 	}
-	if m.obs != nil {
-		m.obs.Observe(MetricJobSeconds, time.Since(start).Seconds())
-	}
-
-	if err != nil && ctx.Err() != nil {
-		// Interrupted, not failed. Two flavors:
-		cur, _ := m.store.get(id)
-		if cur.State == StateCancelled {
-			// User cancel: terminal.
-			now := time.Now().UTC()
-			cj, _ := m.store.update(id, func(x *Job) { x.Finished = &now })
-			if err := m.spool.SaveManifest(&cj); err != nil {
-				m.log.Printf("job %s: persist cancel: %v", id, err)
-			}
-			m.finishFeed(id, &cj)
-			if m.obs != nil {
-				m.obs.Add(finishedSeries(StateCancelled), 1)
-			}
-			m.log.Printf("job %s: cancelled at epoch %d", id, cj.Epoch)
-			return
-		}
-		// Shutdown drain: leave the manifest saying "running" — that is
-		// the durable marker recovery turns back into "queued", and the
-		// last checkpoint on disk is where the resume picks up.
-		m.log.Printf("job %s: interrupted at epoch %d, will resume from checkpoint", id, cur.Epoch)
-		return
-	}
-	if err != nil {
-		m.handleFailure(id, err)
-		return
-	}
-	m.breakers.success(j.Fingerprint)
-	m.finish(id, result)
+	return nil, fmt.Errorf("service: unknown job type %q", j.Spec.Type)
 }
 
-// park re-queues a queued job with a future NextRun (breaker cooldown or
-// retry backoff), durably.
-func (m *Manager) park(id string, wait time.Duration, retryState string) {
-	nr := time.Now().UTC().Add(wait)
-	var parked bool
-	j, ok := m.store.update(id, func(x *Job) {
-		if x.State != StateQueued {
-			return // cancel raced the park; the entry is already gone
+// endAttempt ends every attempt through one decision, made on the state
+// it observes under the lock:
+//
+//   - cancelled: Cancel already finished the job; whatever the attempt
+//     returned is discarded;
+//   - shutdown: the manifest stays "running", the marker recovery turns
+//     back into "queued" — the last checkpoint is where the resume picks
+//     up;
+//   - error: backoff park while the retry budget lasts, then failed
+//     (legacy single-attempt specs) or dead;
+//   - ok: done, or queued for the next recurrence.
+//
+// A successful result hits disk before the state does, so a crash between
+// the two re-runs the job rather than serving a done job with no result.
+func (m *Manager) endAttempt(j *Job, result []byte, runErr error) {
+	id := j.ID
+	every := j.Spec.every()
+	if runErr == nil {
+		if err := m.spool.SaveResult(id, result); err != nil {
+			runErr = fmt.Errorf("persist result: %w", err)
+		} else if every > 0 {
+			// The next run is a fresh simulation, not a resume.
+			if err := os.Remove(m.spool.SnapshotPath(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
+				m.log.Printf("job %s: clear checkpoint for recurrence: %v", id, err)
+			}
 		}
-		parked = true
-		x.NextRun = &nr
-		x.RetryState = retryState
-	})
-	if !ok || !parked {
-		return
-	}
-	if err := m.spool.SaveManifest(&j); err != nil {
-		m.log.Printf("job %s: persist park: %v", id, err)
-	}
-	// Forced: the job held a queue slot before it was popped for this
-	// attempt; parking must not fail to backpressure.
-	if err := m.sched.push(m.pushReq(&j), true); err != nil {
-		m.log.Printf("job %s: park re-queue: %v", id, err)
-		return
-	}
-	m.gaugeQueueDepth()
-	m.feed(id).Publish("state", stateEvent(&j))
-	m.log.Printf("job %s: %s until %s", id, retryState, nr.Format(time.RFC3339))
-}
-
-// handleFailure routes a failed attempt: backoff-park while the retry
-// budget lasts, then dead-letter (or plain failure for legacy
-// single-attempt jobs).
-func (m *Manager) handleFailure(id string, runErr error) {
-	j, ok := m.store.get(id)
-	if !ok {
-		return
 	}
 	pol := j.Spec.retryPolicy()
-	var failures int
-	var live bool
-	j, _ = m.store.update(id, func(x *Job) {
-		if x.State.Terminal() || x.State == StateQueued {
-			return // cancel (or something stranger) raced the failure
-		}
-		live = true
-		x.Failures++
-		failures = x.Failures
-		x.Error = runErr.Error()
-	})
-	if !live {
-		return
-	}
-	m.breakers.failure(j.Fingerprint)
-
-	if failures < pol.maxAttempts {
-		delay := pol.delay(failures, jitterSeed(id))
-		nr := time.Now().UTC().Add(delay)
-		j, _ = m.store.update(id, func(x *Job) {
-			if x.State != StateRunning {
-				live = false
-				return
+	now := time.Now().UTC()
+	_, err := m.transition(id, func(x *Job) error {
+		switch {
+		case x.State != StateRunning:
+			return errRaced
+		case runErr != nil && m.baseCtx.Err() != nil:
+			return errShutdown
+		case runErr != nil:
+			// The breaker hears the outcome under the lock, before a
+			// backoff re-push can bring the job back to its gate.
+			m.breakers.failure(x.Fingerprint)
+			x.Failures++
+			x.Error = runErr.Error()
+			switch {
+			case x.Failures < pol.maxAttempts:
+				nr := now.Add(pol.delay(x.Failures, jitterSeed(id)))
+				x.State, x.RetryState, x.NextRun = StateQueued, RetryBackoff, &nr
+			case pol.maxAttempts <= 1:
+				x.State = StateFailed
+			default:
+				x.State, x.RetryState, x.NextRun = StateDead, RetryExhausted, nil
 			}
-			x.State = StateQueued
-			x.RetryState = RetryBackoff
-			x.NextRun = &nr
-		})
-		if !live {
-			return
+		default:
+			m.breakers.success(x.Fingerprint)
+			x.Failures = 0
+			x.Runs++
+			x.State = StateDone
+			if every > 0 {
+				nr := now.Add(every)
+				x.State, x.Epoch, x.Error, x.NextRun = StateQueued, 0, "", &nr
+			}
 		}
-		if err := m.spool.SaveManifest(&j); err != nil {
-			m.log.Printf("job %s: persist backoff: %v", id, err)
-		}
-		if err := m.sched.push(m.pushReq(&j), true); err != nil {
-			m.log.Printf("job %s: backoff re-queue: %v", id, err)
-			return
-		}
-		if m.obs != nil {
-			m.obs.Add(MetricRetries, 1)
-		}
-		m.gaugeQueueDepth()
-		m.feed(id).Publish("state", stateEvent(&j))
-		m.log.Printf("job %s: attempt %d failed (%v), retry %d/%d in %s",
-			id, j.Attempts, runErr, failures, pol.maxAttempts, delay.Round(time.Millisecond))
-		return
-	}
-	if pol.maxAttempts <= 1 {
-		// Legacy single-attempt semantics: straight to failed.
-		m.fail(id, runErr)
-		return
-	}
-	m.deadLetter(id, runErr)
-}
-
-// fail moves the job to failed and persists it.
-func (m *Manager) fail(id string, runErr error) {
-	now := time.Now().UTC()
-	j, ok := m.store.update(id, func(x *Job) {
-		if x.State.Terminal() {
-			return
-		}
-		x.State = StateFailed
-		x.Error = runErr.Error()
-		x.Finished = &now
+		return nil
 	})
-	if !ok {
-		return
+	// A refusal other than shutdown means Cancel already finished the
+	// job; transition logs any other error.
+	if errors.Is(err, errShutdown) {
+		cur, _ := m.store.get(id)
+		m.log.Printf("job %s: interrupted at epoch %d, will resume from checkpoint", id, cur.Epoch)
 	}
-	if err := m.spool.SaveManifest(&j); err != nil {
-		m.log.Printf("job %s: persist failure: %v", id, err)
-	}
-	m.finishFeed(id, &j)
-	if m.obs != nil {
-		m.obs.Add(finishedSeries(StateFailed), 1)
-	}
-	m.log.Printf("job %s: failed: %v", id, runErr)
-}
-
-// deadLetter moves the job to the dead-letter state: terminal for the
-// scheduler, resurrectable by an operator via Retry.
-func (m *Manager) deadLetter(id string, runErr error) {
-	now := time.Now().UTC()
-	var raced bool
-	j, ok := m.store.update(id, func(x *Job) {
-		if x.State.Terminal() {
-			raced = true
-			return
-		}
-		x.State = StateDead
-		x.RetryState = RetryExhausted
-		x.Error = runErr.Error()
-		x.Finished = &now
-		x.NextRun = nil
-	})
-	if !ok || raced {
-		return
-	}
-	if err := m.spool.SaveManifest(&j); err != nil {
-		m.log.Printf("job %s: persist dead-letter: %v", id, err)
-	}
-	if err := m.spool.MarkDead(&j); err != nil {
-		m.log.Printf("job %s: dead-letter index: %v", id, err)
-	}
-	m.finishFeed(id, &j)
-	if m.obs != nil {
-		m.obs.Add(MetricDeadLetter, 1)
-		m.obs.Add(finishedSeries(StateDead), 1)
-	}
-	m.log.Printf("job %s: dead-lettered after %d attempts: %v", id, j.Attempts, runErr)
-}
-
-// finish completes a successful attempt: one-shot jobs go terminal;
-// recurring jobs persist the run's result and re-queue the next run.
-// Either way the result hits disk before the state, so a crash between
-// the two re-runs the job rather than serving a done job with no result.
-func (m *Manager) finish(id string, result []byte) {
-	if err := m.spool.SaveResult(id, result); err != nil {
-		m.handleFailure(id, fmt.Errorf("persist result: %w", err))
-		return
-	}
-	j, ok := m.store.get(id)
-	if !ok {
-		return
-	}
-	if every := j.Spec.every(); every > 0 {
-		m.recur(id, every)
-		return
-	}
-	now := time.Now().UTC()
-	var raced bool
-	j, ok = m.store.update(id, func(x *Job) {
-		if x.State != StateRunning { // lost a race with Cancel
-			raced = true
-			return
-		}
-		x.State = StateDone
-		x.Failures = 0
-		x.Runs++
-		x.Finished = &now
-	})
-	if !ok || raced {
-		return
-	}
-	if err := m.spool.SaveManifest(&j); err != nil {
-		m.log.Printf("job %s: persist done: %v", id, err)
-	}
-	m.finishFeed(id, &j)
-	if m.obs != nil {
-		m.obs.Add(finishedSeries(StateDone), 1)
-	}
-	m.log.Printf("job %s: done", id)
-}
-
-// recur re-queues a recurring job for its next run. The completed run's
-// checkpoint is deleted first — the next run is a fresh simulation, not
-// a resume — and the failure streak resets, so each recurrence gets the
-// full retry budget.
-func (m *Manager) recur(id string, every time.Duration) {
-	if err := os.Remove(m.spool.SnapshotPath(id)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		m.log.Printf("job %s: clear checkpoint for recurrence: %v", id, err)
-	}
-	nr := time.Now().UTC().Add(every)
-	var raced bool
-	j, ok := m.store.update(id, func(x *Job) {
-		if x.State != StateRunning { // lost a race with Cancel
-			raced = true
-			return
-		}
-		x.State = StateQueued
-		x.Failures = 0
-		x.Runs++
-		x.Epoch = 0
-		x.Error = ""
-		x.NextRun = &nr
-	})
-	if !ok || raced {
-		return
-	}
-	if err := m.spool.SaveManifest(&j); err != nil {
-		m.log.Printf("job %s: persist recurrence: %v", id, err)
-	}
-	if err := m.sched.push(m.pushReq(&j), true); err != nil {
-		m.log.Printf("job %s: recurrence re-queue: %v", id, err)
-		return
-	}
-	m.gaugeQueueDepth()
-	m.feed(id).Publish("state", stateEvent(&j))
-	m.log.Printf("job %s: run %d done, next at %s", id, j.Runs, nr.Format(time.RFC3339))
 }
 
 // runField executes (or resumes) a field job, checkpointing at every
@@ -891,8 +722,7 @@ func (m *Manager) runField(ctx context.Context, id string, j *Job) ([]byte, erro
 		if err := rt.Snapshot().WriteFile(snapPath); err != nil {
 			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
-		ej, _ := m.store.update(id, func(x *Job) { x.Epoch = rt.Epoch() })
-		if err := m.spool.SaveManifest(&ej); err != nil {
+		if _, err := m.transition(id, progress(rt.Epoch())); err != nil {
 			return nil, fmt.Errorf("checkpoint manifest: %w", err)
 		}
 		if m.obs != nil {
@@ -947,8 +777,7 @@ func (m *Manager) runDist(ctx context.Context, id string, j *Job) ([]byte, error
 			if err := sn.WriteFile(snapPath); err != nil {
 				return fmt.Errorf("checkpoint: %w", err)
 			}
-			ej, _ := m.store.update(id, func(x *Job) { x.Epoch = rep.Epoch + 1 })
-			if err := m.spool.SaveManifest(&ej); err != nil {
+			if _, err := m.transition(id, progress(rep.Epoch+1)); err != nil {
 				return fmt.Errorf("checkpoint manifest: %w", err)
 			}
 			if m.obs != nil {

@@ -6,6 +6,8 @@ import (
 	"math"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Job classes, in dispatch-priority order. The class partitions the
@@ -118,6 +120,7 @@ type jobScheduler struct {
 	mu      sync.Mutex
 	now     func() time.Time // injectable clock for tests
 	limit   int              // queue-depth bound for non-forced pushes; 0 = unbounded
+	obs     obs.Observer     // receives the queue-depth gauge; nil disables
 	entries map[string]*schedEntry
 	ready   readyHeap
 	parked  parkedHeap
@@ -183,6 +186,7 @@ func (s *jobScheduler) push(r pushReq, force bool) error {
 		heap.Push(&s.parked, e)
 	}
 	s.entries[r.id] = e
+	s.gaugeLocked()
 	s.wakeLocked()
 	return nil
 }
@@ -198,6 +202,7 @@ func (s *jobScheduler) remove(id string) bool {
 	}
 	s.unlink(e)
 	delete(s.entries, id)
+	s.gaugeLocked()
 	s.wakeLocked()
 	return true
 }
@@ -233,6 +238,14 @@ func (s *jobScheduler) close() {
 	s.wakeLocked()
 }
 
+// gaugeLocked publishes the queue depth. It runs under s.mu at every
+// change, so the gauge moves with the queue.
+func (s *jobScheduler) gaugeLocked() {
+	if s.obs != nil {
+		s.obs.Set(MetricQueueDepth, float64(len(s.entries)))
+	}
+}
+
 // wakeLocked must run under s.mu.
 func (s *jobScheduler) wakeLocked() {
 	close(s.wake)
@@ -264,6 +277,7 @@ func (s *jobScheduler) next(ctx context.Context) (id string, nextRun time.Time, 
 		if len(s.ready) > 0 {
 			e := heap.Pop(&s.ready).(*schedEntry)
 			delete(s.entries, e.id)
+			s.gaugeLocked()
 			s.mu.Unlock()
 			return e.id, time.Unix(0, e.nextRun), true
 		}
