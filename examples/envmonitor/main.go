@@ -53,34 +53,46 @@ func main() {
 	cfg := topo.DefaultConfig(0, 0) // radio/range parameters for every cluster
 	cfg.SensorRange = 40            // Voronoi cells are wide; reach accordingly
 	cfg.HeadRange = 300
-	summary, err := field.RunField(fld, cfg, params, 4, 80, batteryJ)
+	rt, err := field.New(fld, field.Config{
+		Topo:              cfg,
+		Params:            params,
+		InterferenceRange: 80,
+		BatteryJoules:     batteryJ,
+		EpochCycles:       4,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	ep, err := rt.RunEpoch(exp.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep := ep.Report
 
 	fmt.Printf("radio channels used: %d (paper guarantees <= 6 for the planar-like cluster graph)\n\n",
-		summary.Channels)
-	for i, s := range summary.PerCluster {
+		rt.Channels())
+	for i, row := range rep.Clusters {
+		s := ep.Summaries[row.Cluster]
 		fmt.Printf("cluster %d (channel %d): duty %8v/cycle, active %5.2f%%, delivered %3.0f%%, retries %d\n",
-			i, summary.Colors[i], s.MeanDuty.Round(time.Millisecond), s.MeanActive*100,
+			i, row.Channel, s.MeanDuty.Round(time.Millisecond), s.MeanActive*100,
 			s.DeliveredFraction()*100, s.Retries)
 	}
-	if summary.Stranded > 0 {
-		fmt.Printf("\nstranded sensors (no multi-hop path to their head): %d\n", summary.Stranded)
+	if rep.Stranded > 0 {
+		fmt.Printf("\nstranded sensors (no multi-hop path to their head): %d\n", rep.Stranded)
 	}
-	fmt.Printf("\nfield lifetime (first sensor death anywhere): %v\n", summary.Lifetime.Round(time.Hour))
+	fmt.Printf("\nfield lifetime (first sensor death anywhere): %v\n", rt.Summary().Lifetime.Round(time.Hour))
 	fmt.Printf("minimum field cycle under token rotation: %v; under %d-channel coloring: %v\n",
-		summary.TokenCycle.Round(time.Millisecond), summary.Channels,
-		summary.ColoredCycle.Round(time.Millisecond))
+		rep.TokenCycle.Round(time.Millisecond), rt.Channels(),
+		rep.ColoredCycle.Round(time.Millisecond))
 	fmt.Printf("the %v cycle leaves %.1fx headroom on the busiest channel\n",
-		params.Cycle, float64(params.Cycle)/float64(summary.ColoredCycle))
+		params.Cycle, float64(params.Cycle)/float64(rep.ColoredCycle))
 
 	// Phase two: months of operation compressed into churned epochs.
 	// Every epoch one in three clusters loses a sensor to hardware
 	// failure; the head re-plans around the gap and the field keeps
 	// delivering for the survivors.
 	fmt.Printf("\n== Field runtime: 8 epochs with relay-fault churn ==\n\n")
-	rt, err := field.New(fld, field.Config{
+	rt, err = field.New(fld, field.Config{
 		Topo:              cfg,
 		Params:            params,
 		InterferenceRange: 80,

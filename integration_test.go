@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/energy"
+	"repro/internal/exp"
 	"repro/internal/field"
 	"repro/internal/mac/smac"
 	"repro/internal/routing"
@@ -153,10 +154,17 @@ func TestFullFieldLifecycle(t *testing.T) {
 	p.RateBps = 15
 	p.Cycle = 10 * time.Second
 	p.UseSectors = true
-	s, err := field.RunField(f, cfg, p, 2, 80, 500)
+	rt, err := field.New(f, field.Config{
+		Topo: cfg, Params: p, InterferenceRange: 80, BatteryJoules: 500, EpochCycles: 2,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ep, err := rt.RunEpoch(exp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := rt.Summary()
 	if s.Clusters == 0 {
 		t.Fatal("no clusters simulated")
 	}
@@ -164,14 +172,14 @@ func TestFullFieldLifecycle(t *testing.T) {
 		t.Fatalf("coloring used %d channels", s.Channels)
 	}
 	if !s.FitsCycle(p.Cycle) {
-		t.Fatalf("field duty %v does not fit the %v cycle", s.ColoredCycle, p.Cycle)
+		t.Fatalf("field duty %v does not fit the %v cycle", ep.Report.ColoredCycle, p.Cycle)
 	}
 	if s.Lifetime <= 0 {
 		t.Fatal("no field lifetime")
 	}
-	for i, cs := range s.PerCluster {
-		if cs.DeliveredFraction() != 1 {
-			t.Fatalf("cluster %d delivered %v", i, cs.DeliveredFraction())
+	for k, cs := range ep.Summaries {
+		if cs != nil && cs.DeliveredFraction() != 1 {
+			t.Fatalf("cluster %d delivered %v", k, cs.DeliveredFraction())
 		}
 	}
 }

@@ -147,12 +147,12 @@ func (d *ClusterDelta) validate(n int, batteries bool) error {
 // self-contained form adoption payloads ship, decodable by any process
 // holding the same spec regardless of its current state.
 func (rt *Runtime) EncodeClusterDelta(k int) (ClusterDelta, error) {
-	if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
+	if !rt.hasCluster(k) {
 		return ClusterDelta{}, fmt.Errorf("field: %w: no cluster %d", ErrShardMismatch, k)
 	}
 	d := ClusterDelta{
 		Cluster:      k,
-		Fingerprint:  fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k)),
+		Fingerprint:  rt.clusterHash(k),
 		Epoch:        rt.epoch,
 		Base:         DeltaBaseInitial,
 		HasBatteries: rt.batteries != nil,
@@ -205,7 +205,7 @@ func (rt *Runtime) initialBattery(v int) float64 {
 // coordinator's books.
 func (rt *Runtime) ExpandClusterDelta(d ClusterDelta) (ClusterState, error) {
 	k := d.Cluster
-	if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
+	if !rt.hasCluster(k) {
 		return ClusterState{}, fmt.Errorf("field: %w: no cluster %d", ErrShardMismatch, k)
 	}
 	c := rt.clusters[k]
@@ -289,7 +289,7 @@ func (rt *Runtime) AdoptClusterDelta(d ClusterDelta) error {
 // pre-churn copy in preBatteries. Appends into d's reused slices.
 func (rt *Runtime) encodeBoundaryDelta(k, epoch int, deaths []Death, preBatteries []float64, d *ClusterDelta) {
 	d.Cluster = k
-	d.Fingerprint = fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k))
+	d.Fingerprint = rt.clusterHash(k)
 	d.Epoch = epoch + 1
 	d.Base = epoch
 	d.HasBatteries = rt.batteries != nil
@@ -331,17 +331,15 @@ func (rt *Runtime) encodeBoundaryDelta(k, epoch int, deaths []Death, preBatterie
 	}
 }
 
-// importClusterDelta applies one cluster's incremental result delta to
+// importClusterDelta applies cluster k's incremental result delta to
 // the coordinator's books during a merge. The books must sit at the
 // delta's base boundary — which the barrier protocol guarantees: a
 // worker only runs epoch e after the coordinator committed boundary e.
-func (rt *Runtime) importClusterDelta(d ClusterDelta, wantEpoch int) error {
-	k := d.Cluster
-	if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
-		return fmt.Errorf("field: %w: delta for unknown cluster %d", ErrShardMismatch, k)
-	}
-	c := rt.clusters[k]
-	if err := d.validate(c.Sensors(), rt.batteries != nil); err != nil {
+// The delta decodes to the cluster's full boundary state, which goes
+// through the same applyClusterState as every other state import.
+func (rt *Runtime) importClusterDelta(k int, d ClusterDelta, wantEpoch int) error {
+	n := rt.clusters[k].Sensors()
+	if err := d.validate(n, rt.batteries != nil); err != nil {
 		return err
 	}
 	if d.Epoch != wantEpoch {
@@ -351,31 +349,22 @@ func (rt *Runtime) importClusterDelta(d ClusterDelta, wantEpoch int) error {
 		return fmt.Errorf("field: %w: cluster %d delta has base %d, books are at %d",
 			ErrShardEpoch, k, d.Base, wantEpoch-1)
 	}
-	if want := fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k)); d.Fingerprint != want {
-		return fmt.Errorf("field: %w: cluster %d is %s here, delta carries %s",
-			ErrShardMismatch, k, want, d.Fingerprint)
+	if err := rt.checkCluster(k, d.Fingerprint); err != nil {
+		return err
 	}
 
-	decoded, err := decodeGaps(rt.scratchReach[:0], d.DeadGaps, 1, c.Sensors())
+	dead, err := decodeGaps(rt.scratchReach[:0], d.DeadGaps, 1, n)
 	if err != nil {
 		return err
 	}
-	rt.scratchReach = decoded
-	victims := rt.scratchVictims[:0]
-	for _, v := range decoded {
-		if !rt.dead[k][v] {
-			victims = append(victims, v)
-		}
-	}
-	if len(victims) > 0 {
-		rt.killBatch(k, victims)
-	}
-	rt.scratchVictims = victims
-
+	rt.scratchReach = dead
+	var batt []float64
 	if d.HasBatteries {
+		batt = append(rt.scratchBatt[:0], rt.batteries[k]...)
+		rt.scratchBatt = batt
 		if d.Base == DeltaBaseInitial {
-			for v := range rt.batteries[k] {
-				rt.batteries[k][v] = rt.initialBattery(v)
+			for v := range batt {
+				batt[v] = rt.initialBattery(v)
 			}
 		}
 		cur := 0
@@ -385,8 +374,11 @@ func (rt *Runtime) importClusterDelta(d ClusterDelta, wantEpoch int) error {
 			} else {
 				cur += g
 			}
-			rt.batteries[k][cur] = d.BatteryVals[i]
+			batt[cur] = d.BatteryVals[i]
 		}
+	}
+	if err := rt.applyClusterState(k, dead, batt); err != nil {
+		return fmt.Errorf("field: %w: result: %v", ErrShardMismatch, err)
 	}
 	return nil
 }

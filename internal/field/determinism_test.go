@@ -3,6 +3,7 @@ package field
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
@@ -236,5 +237,26 @@ func TestResumeRejectsMismatch(t *testing.T) {
 	noBatt.BatteryJoules = 0
 	if _, err := Resume(f, noBatt, snap); err == nil {
 		t.Fatal("resume accepted a battery snapshot into a mains config")
+	}
+
+	// Malformed snapshots from disk must fail typed, never panic.
+	short := *snap
+	short.Batteries = snap.Batteries[:1]
+	if _, err := Resume(f, cfg, &short); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Fatalf("truncated batteries: err = %v, want ErrSnapshotMismatch", err)
+	}
+	k := rt.ClusterIndexes()[0]
+	inner := *snap
+	inner.Batteries = append([][]float64(nil), snap.Batteries...)
+	inner.Batteries[k] = snap.Batteries[k][:len(snap.Batteries[k])-1]
+	if _, err := Resume(f, cfg, &inner); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Fatalf("short battery array: err = %v, want ErrSnapshotMismatch", err)
+	}
+	// The shadow revision is a function of the epoch under the config; a
+	// snapshot that disagrees was taken under another shadow schedule.
+	rev := *snap
+	rev.ShadowRev = rt.revForEpoch(snap.Epoch) + 1
+	if _, err := Resume(f, cfg, &rev); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Fatalf("shadow revision %d at epoch %d: err = %v, want ErrSnapshotMismatch", rev.ShadowRev, snap.Epoch, err)
 	}
 }

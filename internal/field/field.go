@@ -31,6 +31,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/energy"
 	"repro/internal/exp"
+	"repro/internal/obs"
 	"repro/internal/routing"
 	"repro/internal/topo"
 )
@@ -79,8 +80,7 @@ type Config struct {
 	BatteryJoules float64
 	// Energy is the model used for battery depletion and the Lifetime
 	// estimate. The zero value falls back to Params.Energy, then to
-	// energy.DefaultModel() — the hardcoded default the pre-runtime
-	// RunField helper used.
+	// energy.DefaultModel().
 	Energy energy.Model
 	// EpochCycles is the number of duty cycles each live cluster runs
 	// per epoch; 0 means 1.
@@ -242,16 +242,12 @@ func (s *Summary) FitsCycle(cycle time.Duration) bool {
 }
 
 // Epoch is the full in-memory result of one epoch, including the
-// per-cluster summaries the compact Summary drops. The compatibility
-// wrapper builds the legacy cluster.FieldSummary from it.
+// per-cluster summaries the compact Summary drops.
 type Epoch struct {
 	Report EpochReport
 	// Summaries[k] is field cluster k's summary, nil for clusters that
 	// did not run (empty Voronoi cells).
 	Summaries []*cluster.Summary
-	// Unreachable[k] counts cluster k's sensors without a relaying path
-	// going into the epoch (dead or stranded).
-	Unreachable []int
 }
 
 // Runtime is a field simulation in progress. It is not safe for
@@ -268,7 +264,14 @@ type Runtime struct {
 	batteries [][]float64     // remaining joules, [k][v], nil when disabled
 	dead      [][]bool        // [k][v]
 	epoch     int
-	shadowRev int
+
+	// The shadowing table lives on the propagation model every cluster
+	// shares. table is the revision installed there; revs[k] the revision
+	// cluster k's materialized links reflect. A whole-field run keeps
+	// every cluster at revForEpoch(epoch); shard mode lets them differ and
+	// installs each cluster's revision before it runs.
+	table int
+	revs  []int
 
 	// planCaches[k] memoizes cluster k's routing plan across epoch
 	// boundaries, keyed by (connectivity revision, demand fingerprint):
@@ -277,32 +280,29 @@ type Runtime struct {
 	// no locking is needed; the plan itself is a pure function of the key,
 	// so hits cannot perturb the determinism contract.
 	planCaches []*routing.PlanCache
+	// runnerScratch[k] is cluster k's reusable runner-build state
+	// (oracle, routing workspace, polling buffers), created on first use;
+	// outs[k] is cluster k's epoch product and boundary scratch. Only the
+	// worker running cluster k touches its slots, so the fan-out needs no
+	// locking — same discipline as planCaches.
+	runnerScratch []*cluster.RunnerScratch
+	outs          []clusterOut
 
-	// Epoch scratch, reused across epochs so a steady-state epoch
-	// allocates nothing proportional to the cluster count. All of it is
-	// touched only between RunEpoch's barrier and its return (or inside
-	// churn), single-threaded.
-	scratchOuts       []clusterEpochOut
-	scratchChanged    []bool
+	// Scratch for the single-threaded phases (after RunEpoch's barrier,
+	// in the shard path, in merges and state applies), reused across
+	// epochs so a steady-state epoch allocates nothing proportional to
+	// the cluster count.
 	scratchVictims    []int
 	scratchReach      []int
-	scratchRevs       []uint64
 	scratchDuties     []time.Duration
 	scratchDutyColors []int
-	// scratchPreBatt snapshots one cluster's pre-churn batteries so the
-	// boundary delta can list only the levels the churn moved.
-	scratchPreBatt []float64
-	// runnerScratch[k] is cluster k's reusable runner-build state
-	// (oracle, routing workspace, polling buffers), created on first use.
-	// Only the worker running cluster k touches its slot, so the fan-out
-	// needs no locking — same discipline as planCaches.
-	runnerScratch []*cluster.RunnerScratch
-	// scratchSorted is RunShardEpoch's sorted shard copy; scratchMergeByK
-	// and scratchOrdered are MergeEpoch's indexing state. All single-
-	// threaded per their callers.
-	scratchSorted   []int
-	scratchMergeByK map[int]*ClusterResult
-	scratchOrdered  []*ClusterResult
+	scratchResults    []*ClusterResult
+	scratchByK        []*ClusterResult
+	scratchSorted     []int
+	// scratchBatt is one cluster's battery copy: the pre-boundary levels
+	// a shard result's delta is diffed against, or the levels a merged
+	// delta decodes to.
+	scratchBatt []float64
 
 	// lastRadioRefreshed remembers the field-wide cumulative refreshed-
 	// links counter at the previous emit, so the radio_refresh_links_total
@@ -315,8 +315,6 @@ type Runtime struct {
 	// field RunEpoch path is rejected — the two drive the same cluster
 	// state under incompatible invariants.
 	shardEpochs  []int            // per cluster: completed epochs
-	shardRevs    []int            // per cluster: shadow revision its links reflect
-	shardTable   int              // shadow revision installed on the shared model
 	shardResults []*ClusterResult // per cluster: last result, for idempotent re-query
 
 	sum Summary
@@ -346,8 +344,10 @@ func New(f *topo.Field, cfg Config) (*Runtime, error) {
 	}
 	rt.clusters = make([]*topo.Cluster, len(f.Heads))
 	rt.dead = make([][]bool, len(f.Heads))
+	rt.revs = make([]int, len(f.Heads))
 	rt.planCaches = make([]*routing.PlanCache, len(f.Heads))
 	rt.runnerScratch = make([]*cluster.RunnerScratch, len(f.Heads))
+	rt.outs = make([]clusterOut, len(f.Heads))
 	if cfg.BatteryJoules > 0 {
 		rt.batteries = make([][]float64, len(f.Heads))
 	}
@@ -420,23 +420,12 @@ func (rt *Runtime) epochSeed(epoch, k int) int64 {
 	return int64(hashMix(uint64(rt.cfg.Params.Seed), uint64(epoch), uint64(k)+0x5eed))
 }
 
-// live returns cluster k's reachable, powered sensor count.
-func (rt *Runtime) live(k int) int {
-	c := rt.clusters[k]
-	if c == nil {
-		return 0
-	}
-	return c.ReachableCount()
-}
-
-// clusterEpochOut is one worker's per-cluster product, aggregated
-// single-threaded after the barrier.
-type clusterEpochOut struct {
-	summary     *cluster.Summary
-	unreachable int
-	live        int
-	// energyUse[v] is sensor v's joules drawn this epoch (depletion).
-	energyUse []float64
+// clusterOut is one cluster's epoch product: the ClusterResult the fold
+// consumes, plus what stays in-process (the full summary and the
+// planner's work) and the cluster's own boundary scratch.
+type clusterOut struct {
+	res     ClusterResult
+	summary *cluster.Summary
 	// cacheHit records whether the routing plan came from the plan cache;
 	// on a miss, planSolves/planAugments carry the fresh plan's solver
 	// stats for the routing_* counters.
@@ -444,24 +433,29 @@ type clusterEpochOut struct {
 	planSolves   int
 	planAugments int
 	err          error
+	// victims and reach belong to this cluster alone, so the boundary can
+	// run inside the parallel fan-out.
+	victims, reach []int
 }
 
-// runClusterEpoch executes cluster k's duty cycles for one epoch into
-// out. Shared between RunEpoch's in-process shard fan-out and the
-// distributed shard-scoped path (RunShardEpoch): everything it does is a
-// pure function of (config, cluster state, epoch, k) plus the plan
-// cache, and it only touches cluster k's state, so concurrent calls on
-// different clusters are safe.
-func (rt *Runtime) runClusterEpoch(o exp.Options, epoch, k int, out *clusterEpochOut) {
+// stepCluster is one cluster's epoch: it runs cluster k's duty cycles,
+// then the part of the boundary that touches only cluster k — battery
+// kills from the epoch's energy draw, then the injected-fault draw — and
+// fills out.res with the report row, the deaths, the epoch-0 lifetime
+// estimate and whether a death changed the cluster. The shadow shift and
+// the stranded count follow in settle. Everything here is a pure
+// function of (config, cluster state, epoch, k) plus the plan cache and
+// touches only cluster k's state and slots, so RunEpoch's fan-out runs it
+// concurrently across clusters; RunShardEpoch runs it one cluster at a
+// time.
+func (rt *Runtime) stepCluster(o exp.Options, epoch, k int, out *clusterOut) {
+	out.summary, out.err = nil, nil
 	c := rt.clusters[k]
-	if c == nil {
-		return // empty Voronoi cell: no head cycle to run
-	}
 	cycles := rt.cfg.epochCycles()
 	// Dark clusters (no live reachable sensor) still run: the head
 	// keeps broadcasting its wake/sleep cycle whether or not anyone
-	// answers, exactly as the retired sequential helper did.
-	out.live = rt.live(k)
+	// answers.
+	live := c.ReachableCount()
 	pk := rt.cfg.Params
 	pk.Seed = rt.epochSeed(epoch, k)
 	pc := rt.planCaches[k]
@@ -477,46 +471,70 @@ func (rt *Runtime) runClusterEpoch(o exp.Options, epoch, k int, out *clusterEpoc
 		return
 	}
 	out.cacheHit = pc.Misses == misses0
-	if !out.cacheHit {
-		out.planSolves = r.Plan.Solves
-		out.planAugments = r.Plan.AugmentingPaths
-	}
+	out.planSolves, out.planAugments = r.Plan.Solves, r.Plan.AugmentingPaths
 	r.Obs = o.Obs
-	out.unreachable = len(r.Unreachable)
+	unreachable := len(r.Unreachable)
 	s, err := r.Run(cycles)
 	if err != nil {
 		out.err = fmt.Errorf("field: cluster %d epoch %d: %w", k, epoch, err)
 		return
 	}
 	out.summary = s
-	if rt.batteries != nil {
-		out.energyUse = epochEnergy(rt.em, s, cycles)
+	res := &out.res
+	*res = ClusterResult{
+		Epoch: epoch,
+		Row: ClusterEpoch{
+			Cluster:   k,
+			Channel:   rt.colors[k],
+			Live:      live,
+			Offered:   s.Offered,
+			Delivered: s.Delivered,
+			Retries:   s.Retries,
+			MeanDuty:  s.MeanDuty,
+			Fits:      s.AllFit,
+		},
+	}
+	// The Fig. 7(c) steady-state lifetime estimate comes from the first
+	// epoch, before churn reshapes the load, over clusters with at least
+	// one live sensor.
+	if epoch == 0 && rt.cfg.BatteryJoules > 0 && unreachable < c.Sensors() {
+		res.Lifetime = s.Lifetime(rt.em, rt.cfg.BatteryJoules)
+		res.HasLifetime = true
+	}
+	if rt.batteries != nil && rt.drainCluster(epoch, k, s, out) {
+		res.Changed = true
+	}
+	if rt.cfg.Churn.FaultRate > 0 && rt.faultCluster(epoch, k, out) {
+		res.Changed = true
 	}
 }
 
+// settle closes cluster k's boundary once no cluster of this process is
+// still running the epoch: the shadowing shift, when due, brings the
+// cluster's links to the next revision (a cluster counts as changed only
+// if a link actually flipped — quiet clusters keep their plan-cache
+// hits), and its stranded sensors are counted.
+func (rt *Runtime) settle(epoch, k int, res *ClusterResult) {
+	if rt.shadowDue(epoch) && rt.refreshCluster(k, rt.revForEpoch(epoch+1)) {
+		res.Changed = true
+	}
+	res.Stranded = rt.strandedIn(k)
+}
+
 // RunEpoch advances the field one epoch: every live cluster runs
-// Config.EpochCycles duty cycles (sharded by channel, workers bounded by
-// o), then the churn boundary injects faults and re-plans. The returned
-// Epoch carries the full per-cluster summaries; the compact row is also
-// appended to the runtime's Summary.
+// Config.EpochCycles duty cycles and its share of the churn boundary
+// (sharded by channel, workers bounded by o); after the barrier the
+// shadow shift and stranded counts settle each cluster in index order
+// and the results fold into the report. The returned Epoch carries the
+// full per-cluster summaries; the compact row is also appended to the
+// runtime's Summary. An error leaves the runtime partway through the
+// boundary: resume from the last Snapshot.
 func (rt *Runtime) RunEpoch(o exp.Options) (*Epoch, error) {
 	if rt.shardEpochs != nil {
 		return nil, fmt.Errorf("field: RunEpoch on a shard-mode runtime")
 	}
 	epoch := rt.epoch
-	p := rt.cfg.Params
-	cycles := rt.cfg.epochCycles()
-	if rt.scratchOuts == nil {
-		rt.scratchOuts = make([]clusterEpochOut, len(rt.clusters))
-	}
-	outs := rt.scratchOuts
-	for i := range outs {
-		outs[i] = clusterEpochOut{}
-	}
-
-	runCluster := func(k int) {
-		rt.runClusterEpoch(o, epoch, k, &outs[k])
-	}
+	outs := rt.outs
 
 	// Shard fan-out: same-channel clusters serialize (token rotation),
 	// different channels run concurrently. Per-cluster outputs land in
@@ -528,7 +546,7 @@ func (rt *Runtime) RunEpoch(o exp.Options) (*Epoch, error) {
 	runShard := func(si int) {
 		start := time.Now()
 		for _, k := range rt.shards[si] {
-			runCluster(k)
+			rt.stepCluster(o, epoch, k, &outs[k])
 		}
 		if o.Obs != nil {
 			o.Obs.Observe(seriesShardSeconds(rt.shardChannel(si)), time.Since(start).Seconds())
@@ -558,122 +576,105 @@ func (rt *Runtime) RunEpoch(o exp.Options) (*Epoch, error) {
 	}
 
 	// Barrier passed: everything below is single-threaded, in cluster
-	// index order, so float aggregation is order-stable.
-	for k := range outs {
-		if outs[k].err != nil {
-			return nil, outs[k].err
-		}
-	}
-	ep := &Epoch{
-		Report:      EpochReport{Epoch: epoch},
-		Summaries:   make([]*cluster.Summary, len(rt.clusters)),
-		Unreachable: make([]int, len(rt.clusters)),
-	}
-	duties := rt.scratchDuties[:0]
-	dutyColors := rt.scratchDutyColors[:0]
-	for k := range rt.clusters {
-		out := &outs[k]
-		ep.Unreachable[k] = out.unreachable
-		if out.summary == nil {
+	// index order. The shadow shift must wait for it — far pairs read
+	// the shared propagation model, so no running cluster may see the
+	// next revision's table.
+	ep := &Epoch{Summaries: make([]*cluster.Summary, len(rt.clusters))}
+	results := rt.scratchResults[:0]
+	var ps plannerStats
+	for k, c := range rt.clusters {
+		if c == nil {
 			continue
 		}
+		out := &outs[k]
+		if out.err != nil {
+			return nil, out.err
+		}
+		rt.settle(epoch, k, &out.res)
 		ep.Summaries[k] = out.summary
-		s := out.summary
-		ep.Report.Clusters = append(ep.Report.Clusters, ClusterEpoch{
-			Cluster:   k,
-			Channel:   rt.colors[k],
-			Live:      out.live,
-			Offered:   s.Offered,
-			Delivered: s.Delivered,
-			Retries:   s.Retries,
-			MeanDuty:  s.MeanDuty,
-			Fits:      s.AllFit,
-		})
-		duties = append(duties, s.MeanDuty)
-		dutyColors = append(dutyColors, rt.colors[k])
-		rt.sum.OfferedTotal += s.Offered
-		rt.sum.DeliveredTotal += s.Delivered
-		rt.sum.RetriesTotal += s.Retries
+		results = append(results, &out.res)
+		if out.cacheHit {
+			ps.cacheHits++
+		} else {
+			ps.cacheMisses++
+			ps.solves += out.planSolves
+			ps.augments += out.planAugments
+		}
 	}
-	ep.Report.TokenCycle = cluster.TokenRotationCycle(duties)
+	rt.scratchResults = results
+	rep, err := rt.fold(results, o.Obs, ps)
+	if err != nil {
+		return nil, err
+	}
+	ep.Report = *rep
+	return ep, nil
+}
+
+// fold closes an epoch from its per-cluster results, ascending by
+// cluster — the one aggregation RunEpoch and MergeEpoch share. It builds
+// the report (rows, token and colored cycles, deaths in the canonical
+// battery-then-fault phase order, stranded, replans), advances the epoch
+// and the Summary (totals, epoch-0 lifetime, deaths, first death,
+// reports), then publishes to ob (when non-nil) and Config.OnEpoch.
+func (rt *Runtime) fold(results []*ClusterResult, ob obs.Observer, ps plannerStats) (*EpochReport, error) {
+	epoch := rt.epoch
+	rep := EpochReport{Epoch: epoch}
+	duties := rt.scratchDuties[:0]
+	dutyColors := rt.scratchDutyColors[:0]
+	var lifetime time.Duration
+	for _, r := range results {
+		rep.Clusters = append(rep.Clusters, r.Row)
+		duties = append(duties, r.Row.MeanDuty)
+		dutyColors = append(dutyColors, r.Row.Channel)
+		rep.Stranded += r.Stranded
+		if r.Changed {
+			rep.Replans++
+		}
+		if r.HasLifetime && (lifetime == 0 || r.Lifetime < lifetime) {
+			lifetime = r.Lifetime
+		}
+	}
+	rt.scratchDuties, rt.scratchDutyColors = duties, dutyColors
+	rep.TokenCycle = cluster.TokenRotationCycle(duties)
 	colored, err := cluster.ColoredCycle(duties, dutyColors)
 	if err != nil {
 		return nil, err
 	}
-	ep.Report.ColoredCycle = colored
-	rt.scratchDuties, rt.scratchDutyColors = duties, dutyColors
-
-	// The Fig. 7(c) steady-state lifetime estimate comes from the first
-	// epoch the field ran, before churn reshapes the load.
-	if epoch == 0 && rt.cfg.BatteryJoules > 0 {
-		rt.sum.Lifetime = rt.lifetimeEstimate(ep)
+	rep.ColoredCycle = colored
+	for _, cause := range [...]string{"battery", "fault"} {
+		for _, r := range results {
+			for _, d := range r.Deaths {
+				if d.Cause == cause {
+					rep.Deaths = append(rep.Deaths, d)
+				}
+			}
+		}
 	}
 
-	rt.churn(epoch, outs, &ep.Report)
-
+	for _, r := range results {
+		rt.sum.OfferedTotal += r.Row.Offered
+		rt.sum.DeliveredTotal += r.Row.Delivered
+		rt.sum.RetriesTotal += r.Row.Retries
+	}
+	if epoch == 0 && rt.cfg.BatteryJoules > 0 {
+		rt.sum.Lifetime = lifetime
+	}
 	rt.epoch++
 	rt.sum.Epochs = rt.epoch
-	rt.sum.Deaths = append(rt.sum.Deaths, ep.Report.Deaths...)
-	rt.sum.StrandedFinal = ep.Report.Stranded
-	rt.sum.ReplansTotal += ep.Report.Replans
-	if rt.sum.FirstDeath == 0 && len(ep.Report.Deaths) > 0 {
-		rt.sum.FirstDeath = time.Duration(rt.epoch*cycles) * p.Cycle
+	rt.sum.Deaths = append(rt.sum.Deaths, rep.Deaths...)
+	rt.sum.StrandedFinal = rep.Stranded
+	rt.sum.ReplansTotal += rep.Replans
+	if rt.sum.FirstDeath == 0 && len(rep.Deaths) > 0 {
+		rt.sum.FirstDeath = time.Duration(rt.epoch*rt.cfg.epochCycles()) * rt.cfg.Params.Cycle
 	}
-	rt.sum.Reports = append(rt.sum.Reports, ep.Report)
-	if o.Obs != nil {
-		var ps plannerStats
-		for k := range outs {
-			if outs[k].summary == nil {
-				continue
-			}
-			if outs[k].cacheHit {
-				ps.cacheHits++
-			} else {
-				ps.cacheMisses++
-				ps.solves += outs[k].planSolves
-				ps.augments += outs[k].planAugments
-			}
-		}
-		rt.emit(&ep.Report, ps, o.Obs)
+	rt.sum.Reports = append(rt.sum.Reports, rep)
+	if ob != nil {
+		rt.emit(&rep, ps, ob)
 	}
 	if rt.cfg.OnEpoch != nil {
-		rt.cfg.OnEpoch(&ep.Report)
+		rt.cfg.OnEpoch(&rep)
 	}
-	return ep, nil
-}
-
-// lifetimeEstimate is the min over running clusters (with at least one
-// live sensor) of the cluster's first-death time at the configured
-// battery — the legacy RunField Lifetime.
-func (rt *Runtime) lifetimeEstimate(ep *Epoch) time.Duration {
-	var min time.Duration
-	for k, s := range ep.Summaries {
-		if s == nil {
-			continue
-		}
-		c := rt.clusters[k]
-		if ep.Unreachable[k] >= c.Sensors() {
-			continue
-		}
-		lt := s.Lifetime(rt.em, rt.cfg.BatteryJoules)
-		if min == 0 || lt < min {
-			min = lt
-		}
-	}
-	return min
-}
-
-// epochEnergy integrates a cluster summary's mean per-cycle profiles over
-// the epoch: sensor v's battery drain in joules.
-func epochEnergy(m energy.Model, s *cluster.Summary, cycles int) []float64 {
-	out := make([]float64, len(s.MeanProfiles))
-	for v := 1; v < len(s.MeanProfiles); v++ {
-		p := s.MeanProfiles[v]
-		perCycle := m.Energy(energy.Tx, p.InTx) + m.Energy(energy.Rx, p.InRx) +
-			m.Energy(energy.Idle, p.InIdle) + m.Energy(energy.Sleep, p.SleepTime())
-		out[v] = perCycle * float64(cycles)
-	}
-	return out
+	return &rep, nil
 }
 
 // Run executes epochs until Config.Epochs is reached, checking the

@@ -15,17 +15,27 @@ import (
 	"repro/internal/topo"
 )
 
-// legacyRunField is the retired sequential cluster.RunField loop, kept
-// verbatim as the regression oracle: the compatibility wrapper must
-// reproduce it bit for bit at churn 0.
+// legacyField is what the retired sequential field loop reported.
+type legacyField struct {
+	Clusters, Channels       int
+	Colors                   []int
+	PerCluster               []*cluster.Summary
+	Stranded                 int
+	TokenCycle, ColoredCycle time.Duration
+	Lifetime                 time.Duration
+}
+
+// legacyRunField is the retired sequential field loop, kept verbatim as
+// the regression oracle: one churn-free epoch of the runtime must
+// reproduce it bit for bit.
 func legacyRunField(f *topo.Field, cfg topo.Config, p cluster.Params, cycles int,
-	interferenceRange, batteryJoules float64) (*cluster.FieldSummary, error) {
+	interferenceRange, batteryJoules float64) (*legacyField, error) {
 	if cycles < 1 {
 		return nil, fmt.Errorf("cluster: need at least one cycle")
 	}
 	colors, channels := f.ChannelAssignment(interferenceRange)
 	em := energy.DefaultModel()
-	out := &cluster.FieldSummary{Channels: channels}
+	out := &legacyField{Channels: channels}
 	var duties []time.Duration
 	var dutyColors []int
 	for k := range f.Heads {
@@ -79,12 +89,31 @@ func TestRunFieldMatchesLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunField(f, cfg, p, 2, 80, 100)
+		rt, err := New(f, Config{
+			Topo: cfg, Params: p, InterferenceRange: 80, BatteryJoules: 100,
+			Energy: energy.DefaultModel(), EpochCycles: 2,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		ep, err := rt.RunEpoch(exp.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := &legacyField{
+			Channels:     rt.Channels(),
+			TokenCycle:   ep.Report.TokenCycle,
+			ColoredCycle: ep.Report.ColoredCycle,
+			Lifetime:     rt.Summary().Lifetime,
+		}
+		for _, row := range ep.Report.Clusters {
+			got.Clusters++
+			got.PerCluster = append(got.PerCluster, ep.Summaries[row.Cluster])
+			got.Colors = append(got.Colors, row.Channel)
+			got.Stranded += rt.clusters[row.Cluster].Sensors() - row.Live
+		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("loss %v: wrapper diverges from the legacy loop:\n got %+v\nwant %+v", loss, got, want)
+			t.Fatalf("loss %v: runtime diverges from the legacy loop:\n got %+v\nwant %+v", loss, got, want)
 		}
 		if got.Clusters == 0 {
 			t.Fatal("no clusters simulated")
@@ -95,9 +124,6 @@ func TestRunFieldMatchesLegacy(t *testing.T) {
 func TestRunFieldValidation(t *testing.T) {
 	f := topo.BuildField(3, 200, 2, 10)
 	cfg := topo.DefaultConfig(0, 0)
-	if _, err := RunField(f, cfg, cluster.DefaultParams(), 0, 80, 100); err == nil {
-		t.Fatal("zero cycles should error")
-	}
 	if _, err := New(f, Config{Topo: cfg, Params: cluster.DefaultParams()}); err == nil {
 		t.Fatal("non-positive interference range should error")
 	}

@@ -6,26 +6,26 @@ package field
 // then advances only the clusters it owns, one epoch at a time, through
 // RunShardEpoch. Because an epoch is a closed unit and every churn draw
 // is a pure hash of (seed, epoch, cluster), a cluster's trajectory is
-// independent of which process runs it; the coordinator re-assembles the
-// per-cluster results into the exact aggregate RunEpoch would have
-// produced (MergeEpoch), so the distributed Summary and Snapshot are
-// byte-identical to a single-process run at any worker count.
+// independent of which process runs it. A worker runs each cluster
+// through the same step RunEpoch's fan-out uses (stepCluster, then
+// settle); the coordinator feeds the per-cluster results to the same
+// fold RunEpoch ends in (MergeEpoch), so the distributed Summary and
+// Snapshot are byte-identical to a single-process run at any worker
+// count.
 //
 // The one piece of shared state clusters do not own is the radio
 // environment: the shadowing table lives on the propagation model all of
 // a process's clusters share. Shard mode therefore runs its clusters
-// sequentially (the parallelism is the workers) and tracks, per cluster,
-// which shadow revision its materialized links reflect; before a cluster
-// runs, the table for its epoch's revision is installed and the cluster
-// refreshed if it is behind. The table is a pure function of (churn
-// seed, revision), so flipping between revisions is lossless.
+// sequentially (the parallelism is the workers) and, before a cluster
+// runs, installs the table for its epoch's revision and refreshes the
+// cluster if it is behind (refreshCluster). The table is a pure function
+// of (churn seed, revision), so flipping between revisions is lossless.
 //
 // Handoff is a per-cluster miniature of Resume: ClusterState carries who
-// is dead and the remaining batteries; AdoptCluster re-applies the
-// deaths (order-independent power zeroings), restores the batteries and
-// refreshes the cluster at its epoch's shadow revision. The adopting
-// worker then continues the cluster's trajectory exactly where the lost
-// worker left it.
+// is dead and the remaining batteries; AdoptCluster applies them through
+// the same applyClusterState Resume uses and refreshes the cluster at its
+// epoch's shadow revision. The adopting worker then continues the
+// cluster's trajectory exactly where the lost worker left it.
 
 import (
 	"errors"
@@ -33,7 +33,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/exp"
 )
 
@@ -70,8 +69,7 @@ type ClusterState struct {
 
 // ClusterResult is one cluster's product for one epoch: the report row,
 // the churn that closed the epoch, and the boundary state afterward.
-// MergeEpoch consumes exactly these — they carry everything RunEpoch's
-// single-process aggregation reads from a cluster.
+// RunEpoch and MergeEpoch fold exactly these.
 type ClusterResult struct {
 	// Epoch is the epoch this result is for.
 	Epoch int `json:"epoch"`
@@ -120,6 +118,30 @@ func (rt *Runtime) ClusterIndexes() []int {
 	return ks
 }
 
+// clusterHash is cluster k's geometry fingerprint as ClusterState and
+// ClusterDelta carry it (topo.Field.ClusterFingerprint, "%016x").
+func (rt *Runtime) clusterHash(k int) string {
+	return fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k))
+}
+
+// hasCluster reports whether k names one of the field's non-empty
+// clusters.
+func (rt *Runtime) hasCluster(k int) bool {
+	return k >= 0 && k < len(rt.clusters) && rt.clusters[k] != nil
+}
+
+// checkCluster validates a payload for cluster k carrying fingerprint fp:
+// the cluster must exist here and have that geometry.
+func (rt *Runtime) checkCluster(k int, fp string) error {
+	if !rt.hasCluster(k) {
+		return fmt.Errorf("field: %w: no cluster %d", ErrShardMismatch, k)
+	}
+	if want := rt.clusterHash(k); fp != want {
+		return fmt.Errorf("field: %w: cluster %d is %s here, payload carries %s", ErrShardMismatch, k, want, fp)
+	}
+	return nil
+}
+
 // initShard arms shard mode. Shard bookkeeping starts every cluster at
 // epoch 0, so the runtime must be fresh — a worker always builds from
 // the spec and receives later state through AdoptCluster.
@@ -131,30 +153,8 @@ func (rt *Runtime) initShard() error {
 		return fmt.Errorf("field: shard mode requires a fresh runtime, this one is at epoch %d", rt.epoch)
 	}
 	rt.shardEpochs = make([]int, len(rt.clusters))
-	rt.shardRevs = make([]int, len(rt.clusters))
 	rt.shardResults = make([]*ClusterResult, len(rt.clusters))
 	return nil
-}
-
-// shardInstallTable makes rev the shadowing revision installed on the
-// shared propagation model, if it is not already.
-func (rt *Runtime) shardInstallTable(rev int) {
-	if rt.shardTable == rev {
-		return
-	}
-	rt.installShadow(rev)
-	rt.shardTable = rev
-}
-
-// shardRefresh brings cluster k's materialized links to the given shadow
-// revision.
-func (rt *Runtime) shardRefresh(k, rev int) {
-	if rt.shardRevs[k] == rev {
-		return
-	}
-	rt.shardInstallTable(rev)
-	rt.clusters[k].RefreshConnectivity()
-	rt.shardRevs[k] = rev
 }
 
 // RunShardEpoch advances the given clusters (this worker's shard)
@@ -184,7 +184,7 @@ func (rt *Runtime) RunShardEpoch(o exp.Options, epoch int, ks []int) ([]ClusterR
 		if i > 0 && sorted[i-1] == k {
 			return nil, fmt.Errorf("field: %w: cluster %d listed twice in shard", ErrShardMismatch, k)
 		}
-		if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
+		if !rt.hasCluster(k) {
 			return nil, fmt.Errorf("field: %w: no cluster %d", ErrShardMismatch, k)
 		}
 		switch {
@@ -204,79 +204,27 @@ func (rt *Runtime) RunShardEpoch(o exp.Options, epoch int, ks []int) ([]ClusterR
 	return out, nil
 }
 
-// runShardCluster runs cluster k's epoch and churn boundary and records
-// the result for idempotent re-query.
+// runShardCluster runs cluster k's epoch step under its revision's
+// shadowing table, settles its boundary, attaches the boundary
+// checkpoint and records the result for idempotent re-query.
 func (rt *Runtime) runShardCluster(o exp.Options, epoch, k int) (*ClusterResult, error) {
-	c := rt.clusters[k]
-	// The epoch runs under its revision's shadowing table; a cluster that
-	// skipped revisions (fresh adoptee) catches up with one refresh —
-	// refreshes re-derive materialized links from the installed table, so
-	// the path there does not matter.
-	rev := rt.revForEpoch(epoch)
-	rt.shardInstallTable(rev)
-	rt.shardRefresh(k, rev)
-
-	var out clusterEpochOut
-	rt.runClusterEpoch(o, epoch, k, &out)
+	rt.refreshCluster(k, rt.revForEpoch(epoch))
+	// Copy the pre-boundary batteries so the delta ships only the levels
+	// the boundary moved.
+	var preBatt []float64
+	if rt.batteries != nil {
+		preBatt = append(rt.scratchBatt[:0], rt.batteries[k]...)
+		rt.scratchBatt = preBatt
+	}
+	out := &rt.outs[k]
+	rt.stepCluster(o, epoch, k, out)
 	if out.err != nil {
 		return nil, out.err
 	}
-	s := out.summary
-	res := &ClusterResult{
-		Epoch: epoch,
-		Row: ClusterEpoch{
-			Cluster:   k,
-			Channel:   rt.colors[k],
-			Live:      out.live,
-			Offered:   s.Offered,
-			Delivered: s.Delivered,
-			Retries:   s.Retries,
-			MeanDuty:  s.MeanDuty,
-			Fits:      s.AllFit,
-		},
-	}
-	// The steady-state lifetime estimate the coordinator mins over comes
-	// from epoch 0, before churn reshapes the load (RunEpoch's
-	// lifetimeEstimate, clusterized).
-	if epoch == 0 && rt.cfg.BatteryJoules > 0 && out.unreachable < c.Sensors() {
-		res.Lifetime = s.Lifetime(rt.em, rt.cfg.BatteryJoules)
-		res.HasLifetime = true
-	}
-
-	// The churn boundary, restricted to this cluster: battery kills, then
-	// the fault draw, then the shadow shift — the same order the
-	// single-process boundary applies field-wide. The pre-churn batteries
-	// are snapshotted first so the boundary delta can ship only the
-	// levels the churn moved.
-	var preBatt []float64
-	if rt.batteries != nil {
-		preBatt = append(rt.scratchPreBatt[:0], rt.batteries[k]...)
-		rt.scratchPreBatt = preBatt
-	}
-	changed := false
-	if rt.batteries != nil && out.energyUse != nil {
-		if rt.batteryChurnCluster(epoch, k, out.energyUse, &res.Deaths) {
-			changed = true
-		}
-	}
-	if rt.cfg.Churn.FaultRate > 0 {
-		if rt.faultChurnCluster(epoch, k, &res.Deaths) {
-			changed = true
-		}
-	}
-	if rt.shadowDue(epoch) {
-		prev := c.ConnectivityRev()
-		rt.shardInstallTable(rev + 1)
-		c.RefreshConnectivity()
-		rt.shardRevs[k] = rev + 1
-		if c.ConnectivityRev() != prev {
-			changed = true
-		}
-	}
-	res.Changed = changed
-	res.Stranded = rt.strandedIn(k)
-
+	rt.settle(epoch, k, &out.res)
+	res := out.res
 	rt.shardEpochs[k] = epoch + 1
+
 	// The boundary checkpoint ships as a delta against the boundary the
 	// epoch started from — the coordinator's books are guaranteed to sit
 	// there (it only issues epoch e after committing boundary e). The
@@ -287,7 +235,7 @@ func (rt *Runtime) runShardCluster(o exp.Options, epoch, k int) (*ClusterResult,
 	// array — ship whichever encoding is smaller on the wire.
 	d := &ClusterDelta{}
 	rt.encodeBoundaryDelta(k, epoch, res.Deaths, preBatt, d)
-	if rt.deltaCheaper(d, c.Sensors()) {
+	if rt.deltaCheaper(d, rt.clusters[k].Sensors()) {
 		res.Delta = d
 	} else {
 		st, err := rt.ExportClusterState(k)
@@ -296,20 +244,20 @@ func (rt *Runtime) runShardCluster(o exp.Options, epoch, k int) (*ClusterResult,
 		}
 		res.State = &st
 	}
-	rt.shardResults[k] = res
-	return res, nil
+	rt.shardResults[k] = &res
+	return &res, nil
 }
 
 // ExportClusterState captures cluster k's current epoch-boundary state:
 // the coordinator exports it from its merged runtime to seed an
 // adoption; a worker exports it to answer a checkpoint fetch.
 func (rt *Runtime) ExportClusterState(k int) (ClusterState, error) {
-	if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
+	if !rt.hasCluster(k) {
 		return ClusterState{}, fmt.Errorf("field: %w: no cluster %d", ErrShardMismatch, k)
 	}
 	st := ClusterState{
 		Cluster:     k,
-		Fingerprint: fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k)),
+		Fingerprint: rt.clusterHash(k),
 		Epoch:       rt.epoch,
 		Dead:        []int{},
 	}
@@ -337,44 +285,19 @@ func (rt *Runtime) AdoptCluster(st ClusterState) error {
 		return err
 	}
 	k := st.Cluster
-	if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
-		return fmt.Errorf("field: %w: no cluster %d to adopt", ErrShardMismatch, k)
-	}
-	c := rt.clusters[k]
-	if want := fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k)); st.Fingerprint != want {
-		return fmt.Errorf("field: %w: cluster %d is %s here, handoff carries %s",
-			ErrShardMismatch, k, want, st.Fingerprint)
-	}
-	if (st.Batteries != nil) != (rt.batteries != nil) {
-		return fmt.Errorf("field: %w: handoff for cluster %d disagrees on battery accounting", ErrShardMismatch, k)
-	}
-	if st.Batteries != nil && len(st.Batteries) != len(rt.batteries[k]) {
-		return fmt.Errorf("field: %w: handoff batteries for cluster %d: %d nodes, want %d",
-			ErrShardMismatch, k, len(st.Batteries), len(rt.batteries[k]))
+	if err := rt.checkCluster(k, st.Fingerprint); err != nil {
+		return err
 	}
 	if st.Epoch < rt.shardEpochs[k] {
 		return fmt.Errorf("field: %w: cluster %d has completed %d epochs, cannot rewind to %d",
 			ErrShardEpoch, k, rt.shardEpochs[k], st.Epoch)
 	}
-	victims := rt.scratchVictims[:0]
-	for _, v := range st.Dead {
-		if v < 1 || v > c.Sensors() {
-			return fmt.Errorf("field: %w: handoff kills sensor %d of cluster %d, out of range", ErrShardMismatch, v, k)
-		}
-		if !rt.dead[k][v] {
-			victims = append(victims, v)
-		}
-	}
-	if len(victims) > 0 {
-		rt.killBatch(k, victims)
-	}
-	rt.scratchVictims = victims
-	if st.Batteries != nil {
-		copy(rt.batteries[k], st.Batteries)
+	if err := rt.applyClusterState(k, st.Dead, st.Batteries); err != nil {
+		return fmt.Errorf("field: %w: handoff: %v", ErrShardMismatch, err)
 	}
 	rt.shardEpochs[k] = st.Epoch
 	rt.shardResults[k] = nil
-	rt.shardRefresh(k, rt.revForEpoch(st.Epoch))
+	rt.refreshCluster(k, rt.revForEpoch(st.Epoch))
 	return nil
 }
 
@@ -382,177 +305,88 @@ func (rt *Runtime) AdoptCluster(st ClusterState) error {
 // the coordinator's half of the barrier. The runtime must be the
 // whole-field one (not shard mode) sitting at the epoch the results are
 // for, and the results must cover exactly the field's non-empty
-// clusters. The merge rebuilds the epoch report in cluster-index order
-// and advances epoch, summary, deaths, batteries and shadow revision
-// precisely as RunEpoch would have: after a merge, Summary() and
-// Snapshot() are byte-identical to the single-process run's.
+// clusters. After validating every result, the merge imports each
+// cluster's boundary state into the coordinator's dead/battery books and
+// hands the results, in cluster order, to the fold RunEpoch ends in:
+// after a merge, Summary() and Snapshot() are byte-identical to the
+// single-process run's.
 func (rt *Runtime) MergeEpoch(results []ClusterResult) (*EpochReport, error) {
 	if rt.shardEpochs != nil {
 		return nil, fmt.Errorf("field: MergeEpoch on a shard-mode runtime")
 	}
 	epoch := rt.epoch
-	byK := rt.scratchMergeByK
-	if byK == nil {
-		byK = make(map[int]*ClusterResult, len(results))
-		rt.scratchMergeByK = byK
-	} else {
-		clear(byK)
+	if rt.scratchByK == nil {
+		rt.scratchByK = make([]*ClusterResult, len(rt.clusters))
 	}
+	byK := rt.scratchByK
+	clear(byK)
 	for i := range results {
 		r := &results[i]
 		k := r.Row.Cluster
-		if k < 0 || k >= len(rt.clusters) || rt.clusters[k] == nil {
+		switch {
+		case !rt.hasCluster(k):
 			return nil, fmt.Errorf("field: %w: result for unknown cluster %d", ErrShardMismatch, k)
-		}
-		if byK[k] != nil {
+		case byK[k] != nil:
 			return nil, fmt.Errorf("field: %w: two results for cluster %d", ErrShardMismatch, k)
-		}
-		if r.Epoch != epoch {
+		case r.Epoch != epoch:
 			return nil, fmt.Errorf("field: %w: cluster %d result is for epoch %d, merging epoch %d",
 				ErrShardEpoch, k, r.Epoch, epoch)
-		}
-		if r.Row.Channel != rt.colors[k] {
+		case r.Row.Channel != rt.colors[k]:
 			return nil, fmt.Errorf("field: %w: cluster %d ran on channel %d, coloring says %d",
 				ErrShardMismatch, k, r.Row.Channel, rt.colors[k])
+		case r.Delta == nil && r.State == nil:
+			return nil, fmt.Errorf("field: %w: cluster %d result carries no boundary state", ErrShardMismatch, k)
+		case r.Delta != nil && r.Delta.Cluster != k, r.Delta == nil && r.State.Cluster != k:
+			return nil, fmt.Errorf("field: %w: cluster %d result carries another cluster's boundary state", ErrShardMismatch, k)
+		}
+		for _, d := range r.Deaths {
+			if d.Epoch != epoch || d.Cluster != k {
+				return nil, fmt.Errorf("field: %w: death of sensor %d attributed to cluster %d epoch %d in cluster %d's epoch-%d result",
+					ErrShardMismatch, d.Sensor, d.Cluster, d.Epoch, k, epoch)
+			}
 		}
 		byK[k] = r
 	}
-
-	rep := EpochReport{Epoch: epoch}
-	duties := rt.scratchDuties[:0]
-	dutyColors := rt.scratchDutyColors[:0]
-	ordered := rt.scratchOrdered[:0]
+	ordered := rt.scratchResults[:0]
 	for k, c := range rt.clusters {
 		if c == nil {
 			continue
 		}
-		r := byK[k]
-		if r == nil {
+		if byK[k] == nil {
 			return nil, fmt.Errorf("field: %w: no result for cluster %d", ErrShardMismatch, k)
 		}
-		ordered = append(ordered, r)
-		rep.Clusters = append(rep.Clusters, r.Row)
-		duties = append(duties, r.Row.MeanDuty)
-		dutyColors = append(dutyColors, rt.colors[k])
-		rt.sum.OfferedTotal += r.Row.Offered
-		rt.sum.DeliveredTotal += r.Row.Delivered
-		rt.sum.RetriesTotal += r.Row.Retries
+		ordered = append(ordered, byK[k])
 	}
-	rt.scratchOrdered = ordered
-	rep.TokenCycle = cluster.TokenRotationCycle(duties)
-	colored, err := cluster.ColoredCycle(duties, dutyColors)
-	if err != nil {
-		return nil, err
-	}
-	rep.ColoredCycle = colored
-	rt.scratchDuties, rt.scratchDutyColors = duties, dutyColors
-
-	if epoch == 0 && rt.cfg.BatteryJoules > 0 {
-		var min time.Duration
-		for _, r := range ordered {
-			if !r.HasLifetime {
-				continue
-			}
-			if min == 0 || r.Lifetime < min {
-				min = r.Lifetime
-			}
-		}
-		rt.sum.Lifetime = min
-	}
-
-	// Boundary deaths in the canonical order: the battery phase across
-	// clusters (ascending), then the fault phase — exactly the order the
-	// single-process churn loop appends them in.
-	for _, cause := range []string{"battery", "fault"} {
-		for _, r := range ordered {
-			for _, d := range r.Deaths {
-				if d.Cause != cause {
-					continue
-				}
-				if d.Epoch != epoch || d.Cluster != r.Row.Cluster {
-					return nil, fmt.Errorf("field: %w: death of sensor %d attributed to cluster %d epoch %d in cluster %d's epoch-%d result",
-						ErrShardMismatch, d.Sensor, d.Cluster, d.Epoch, r.Row.Cluster, epoch)
-				}
-				rep.Deaths = append(rep.Deaths, d)
-			}
-		}
-	}
-	for _, r := range ordered {
-		rep.Stranded += r.Stranded
-		if r.Changed {
-			rep.Replans++
-		}
-	}
+	rt.scratchResults = ordered
 
 	// Install the boundary states so the coordinator's own dead/battery
 	// books track the fleet — that is what makes its Snapshot the
 	// resume point, and the source of adoption payloads.
 	for _, r := range ordered {
-		switch {
-		case r.Delta != nil:
-			if err := rt.importClusterDelta(*r.Delta, epoch+1); err != nil {
-				return nil, err
-			}
-		case r.State != nil:
-			if err := rt.importClusterState(*r.State, epoch+1); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("field: %w: cluster %d result carries no boundary state",
-				ErrShardMismatch, r.Row.Cluster)
+		var err error
+		if r.Delta != nil {
+			err = rt.importClusterDelta(r.Row.Cluster, *r.Delta, epoch+1)
+		} else {
+			err = rt.importClusterState(r.Row.Cluster, *r.State, epoch+1)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
-
-	rt.epoch++
-	rt.shadowRev = rt.revForEpoch(rt.epoch)
-	rt.sum.Epochs = rt.epoch
-	rt.sum.Deaths = append(rt.sum.Deaths, rep.Deaths...)
-	rt.sum.StrandedFinal = rep.Stranded
-	rt.sum.ReplansTotal += rep.Replans
-	if rt.sum.FirstDeath == 0 && len(rep.Deaths) > 0 {
-		rt.sum.FirstDeath = time.Duration(rt.epoch*rt.cfg.epochCycles()) * rt.cfg.Params.Cycle
-	}
-	rt.sum.Reports = append(rt.sum.Reports, rep)
-	if rt.cfg.OnEpoch != nil {
-		rt.cfg.OnEpoch(&rep)
-	}
-	return &rep, nil
+	return rt.fold(ordered, nil, plannerStats{})
 }
 
-// importClusterState applies one cluster's post-epoch checkpoint to the
+// importClusterState applies cluster k's post-epoch checkpoint to the
 // coordinator's books during a merge.
-func (rt *Runtime) importClusterState(st ClusterState, wantEpoch int) error {
-	k := st.Cluster
-	c := rt.clusters[k]
+func (rt *Runtime) importClusterState(k int, st ClusterState, wantEpoch int) error {
 	if st.Epoch != wantEpoch {
 		return fmt.Errorf("field: %w: cluster %d state is at epoch %d, want %d", ErrShardEpoch, k, st.Epoch, wantEpoch)
 	}
-	if want := fmt.Sprintf("%016x", rt.f.ClusterFingerprint(k)); st.Fingerprint != want {
-		return fmt.Errorf("field: %w: cluster %d is %s here, result carries %s",
-			ErrShardMismatch, k, want, st.Fingerprint)
+	if err := rt.checkCluster(k, st.Fingerprint); err != nil {
+		return err
 	}
-	if (st.Batteries != nil) != (rt.batteries != nil) {
-		return fmt.Errorf("field: %w: result for cluster %d disagrees on battery accounting", ErrShardMismatch, k)
-	}
-	victims := rt.scratchVictims[:0]
-	for _, v := range st.Dead {
-		if v < 1 || v > c.Sensors() {
-			return fmt.Errorf("field: %w: result kills sensor %d of cluster %d, out of range", ErrShardMismatch, v, k)
-		}
-		if !rt.dead[k][v] {
-			victims = append(victims, v)
-		}
-	}
-	if len(victims) > 0 {
-		rt.killBatch(k, victims)
-	}
-	rt.scratchVictims = victims
-	if st.Batteries != nil {
-		if len(st.Batteries) != len(rt.batteries[k]) {
-			return fmt.Errorf("field: %w: result batteries for cluster %d: %d nodes, want %d",
-				ErrShardMismatch, k, len(st.Batteries), len(rt.batteries[k]))
-		}
-		copy(rt.batteries[k], st.Batteries)
+	if err := rt.applyClusterState(k, st.Dead, st.Batteries); err != nil {
+		return fmt.Errorf("field: %w: result: %v", ErrShardMismatch, err)
 	}
 	return nil
 }

@@ -268,6 +268,21 @@ func TestShardRejections(t *testing.T) {
 	if _, err := coord.MergeEpoch(results[1:]); !errors.Is(err, ErrShardMismatch) {
 		t.Fatalf("merge with a missing cluster: err = %v, want ErrShardMismatch", err)
 	}
+	// A boundary state filed under another cluster's row must be rejected,
+	// not imported into the cluster it names.
+	misfiled := append([]ClusterResult(nil), results...)
+	if d := misfiled[0].Delta; d != nil {
+		moved := *d
+		moved.Cluster = results[1].Row.Cluster
+		misfiled[0].Delta = &moved
+	} else {
+		moved := *misfiled[0].State
+		moved.Cluster = results[1].Row.Cluster
+		misfiled[0].State = &moved
+	}
+	if _, err := coord.MergeEpoch(misfiled); !errors.Is(err, ErrShardMismatch) {
+		t.Fatalf("merge with a misfiled boundary state: err = %v, want ErrShardMismatch", err)
+	}
 	if _, err := coord.MergeEpoch(results); err != nil {
 		t.Fatalf("full merge after rejected partial merge: %v", err)
 	}

@@ -43,7 +43,9 @@ type Snapshot struct {
 	FieldHash string `json:"field_hash"`
 	// Epoch is the number of completed epochs.
 	Epoch int `json:"epoch"`
-	// ShadowRev is the current shadowing-table revision (0 = pristine).
+	// ShadowRev is the shadowing-table revision in force for the next
+	// epoch (0 = pristine). It is derived from Epoch and the Config, so
+	// Resume only checks it.
 	ShadowRev int `json:"shadow_rev"`
 	// Batteries holds remaining joules per cluster per node (index 0 is
 	// the mains-powered head), nil when depletion is disabled.
@@ -60,9 +62,9 @@ type Snapshot struct {
 func (rt *Runtime) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Version:   SnapshotVersion,
-		FieldHash: fmt.Sprintf("%016x", rt.f.Fingerprint()),
+		FieldHash: rt.FieldHash(),
 		Epoch:     rt.epoch,
-		ShadowRev: rt.shadowRev,
+		ShadowRev: rt.revForEpoch(rt.epoch),
 		Dead:      make([][]int, len(rt.clusters)),
 	}
 	if rt.batteries != nil {
@@ -179,27 +181,29 @@ func Resume(f *topo.Field, cfg Config, s *Snapshot) (*Runtime, error) {
 	if (s.Batteries != nil) != (rt.batteries != nil) {
 		return nil, fmt.Errorf("field: %w: snapshot and config disagree on battery accounting", ErrSnapshotMismatch)
 	}
-	// Re-apply deaths (order-independent: each is a power zeroing plus a
-	// rebuild), restore batteries, then re-install the shadow revision.
-	for k, dead := range s.Dead {
-		for _, v := range dead {
-			if rt.clusters[k] == nil || v < 1 || v > rt.clusters[k].Sensors() {
-				return nil, fmt.Errorf("field: %w: snapshot kills sensor %d of cluster %d, out of range", ErrSnapshotMismatch, v, k)
-			}
-			rt.kill(k, v)
+	if s.Batteries != nil && len(s.Batteries) != len(rt.clusters) {
+		return nil, fmt.Errorf("field: %w: snapshot has batteries for %d clusters, field has %d",
+			ErrSnapshotMismatch, len(s.Batteries), len(rt.clusters))
+	}
+	rev := rt.revForEpoch(s.Epoch)
+	if s.ShadowRev != rev {
+		return nil, fmt.Errorf("field: %w: snapshot is at shadow revision %d, epoch %d under this config is at %d",
+			ErrSnapshotMismatch, s.ShadowRev, s.Epoch, rev)
+	}
+	// Re-apply deaths and batteries, then bring the cluster to the
+	// epoch's shadow revision.
+	for k, c := range rt.clusters {
+		var batteries []float64
+		if s.Batteries != nil {
+			batteries = s.Batteries[k]
+		}
+		if err := rt.applyClusterState(k, s.Dead[k], batteries); err != nil {
+			return nil, fmt.Errorf("field: %w: snapshot: %v", ErrSnapshotMismatch, err)
+		}
+		if c != nil {
+			rt.refreshCluster(k, rev)
 		}
 	}
-	if s.Batteries != nil {
-		for k := range rt.batteries {
-			if len(s.Batteries[k]) != len(rt.batteries[k]) {
-				return nil, fmt.Errorf("field: %w: snapshot batteries for cluster %d: %d nodes, want %d",
-					ErrSnapshotMismatch, k, len(s.Batteries[k]), len(rt.batteries[k]))
-			}
-			copy(rt.batteries[k], s.Batteries[k])
-		}
-	}
-	rt.shadowRev = s.ShadowRev
-	rt.applyShadow()
 	rt.epoch = s.Epoch
 	if s.Summary != nil {
 		rt.sum = *s.Summary
